@@ -15,17 +15,19 @@
 //! pre-generated chunks (`MachineSim::run_refs`). The `sched_overhead`
 //! group pins the event-scheduled pipeline's dispatch cost against the
 //! bare pcs-des event-queue floor on the same arrival chain. The
-//! `stream-cache` group runs the same sweep with sharing off, cold
-//! (each iteration generates and publishes) and warm (every cell
-//! subscribes to already published chunks).
+//! `stream-cache` group runs one sweep over three SUT sets with sharing
+//! off (every cell generates its stream) and on (each stream is
+//! generated once and the other two sets' cells subscribe to it).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pcs_bench::{hotpath_stream, HOTPATH_COUNT};
 use pcs_des::EventQueue;
 use pcs_hw::MachineSpec;
-use pcs_oskernel::{MachineSim, SimConfig};
-use pcs_pktgen::{Chunk, PacketSource, StreamCache, TimedPacket};
-use pcs_testbed::{run_sweep_exec, CycleConfig, ExecConfig, PipelineConfig, RunCache, Sut};
+use pcs_oskernel::{BufferConfig, MachineSim, SimConfig};
+use pcs_pktgen::{Chunk, PacketSource, TimedPacket};
+use pcs_testbed::{
+    run_sweep_exec, run_sweep_sets, CycleConfig, ExecConfig, PipelineConfig, RunCache, Sut,
+};
 use std::sync::Arc;
 
 fn sweep_inputs() -> (Vec<Sut>, CycleConfig, Vec<Option<f64>>) {
@@ -187,40 +189,39 @@ fn bench_sched_overhead(c: &mut Criterion) {
 
 fn bench_stream_cache(c: &mut Criterion) {
     let (suts, cfg, rates) = sweep_inputs();
-    let cells = (rates.len() * cfg.repeats as usize) as u64;
+    // The same machines at three buffer sizes: three SUT sets that read
+    // the same stream at every (rate, repeat).
+    let sets: Vec<Vec<Sut>> = [512u64 << 10, 8 << 20, 128 << 20]
+        .into_iter()
+        .map(|bytes| {
+            suts.iter()
+                .map(|sut| Sut {
+                    spec: sut.spec,
+                    sim: SimConfig {
+                        buffers: BufferConfig::symmetric(bytes),
+                        ..sut.sim.clone()
+                    },
+                })
+                .collect()
+        })
+        .collect();
+    let cells = (rates.len() * cfg.repeats as usize * sets.len()) as u64;
     let mut g = c.benchmark_group("stream-cache");
     g.sample_size(10);
     g.throughput(Throughput::Elements(cells));
+    // The run cache is flushed every iteration, so the cells genuinely
+    // recompute; the sweep's streams leave the stream cache when it ends.
     let run = |pipeline: PipelineConfig| {
+        RunCache::global().clear();
         let exec = ExecConfig::with_jobs(2).with_pipeline(pipeline);
-        let points = run_sweep_exec(&suts, &cfg, &rates, &exec);
-        assert_eq!(points.len(), rates.len());
-        points
+        let sweeps = run_sweep_sets(&sets, &cfg, &rates, &exec);
+        assert_eq!(sweeps.len(), sets.len());
+        sweeps
     };
     g.bench_function("off", |b| {
-        b.iter(|| {
-            RunCache::global().clear();
-            run(PipelineConfig::streaming().with_stream_cache(0))
-        })
+        b.iter(|| run(PipelineConfig::streaming().with_stream_cache(0)))
     });
-    // Cold: every iteration generates and publishes each stream once.
-    g.bench_function("cold", |b| {
-        b.iter(|| {
-            RunCache::global().clear();
-            StreamCache::global().clear();
-            run(PipelineConfig::streaming())
-        })
-    });
-    // Warm: streams are already published, every cell subscribes; the
-    // run cache is still flushed so the cells genuinely recompute.
-    g.bench_function("warm", |b| {
-        RunCache::global().clear();
-        run(PipelineConfig::streaming());
-        b.iter(|| {
-            RunCache::global().clear();
-            run(PipelineConfig::streaming())
-        })
-    });
+    g.bench_function("shared", |b| b.iter(|| run(PipelineConfig::streaming())));
     g.finish();
 }
 

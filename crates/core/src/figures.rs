@@ -13,7 +13,7 @@ use pcs_capture::MeasurementApp;
 use pcs_hw::{write_benchmark, MachineSpec, OsKind};
 use pcs_oskernel::{AppConfig, BufferConfig, SimConfig};
 use pcs_pktgen::{mwn_counts, mwn_mean, TxModel};
-use pcs_testbed::{run_sweep_exec, standard_suts, CycleConfig, ExecConfig, Sut};
+use pcs_testbed::{run_sweep_exec, run_sweep_sets, standard_suts, CycleConfig, ExecConfig, Sut};
 
 /// Derive a deterministic seed from an experiment id.
 fn seed_of(id: &str) -> u64 {
@@ -245,17 +245,26 @@ pub fn fig6_3_increased_buffers(scale: &Scale, smp: bool, exec: &ExecConfig) -> 
 }
 
 /// Fig. 6.4, experiments (33)/(20): capture at top speed vs buffer size.
+///
+/// The twelve buffer sizes are one sweep over twelve SUT sets, so each
+/// repeat's full-speed stream is generated once and read by all twelve.
 pub fn fig6_4_buffer_sweep(scale: &Scale, smp: bool, exec: &ExecConfig) -> Experiment {
     let id = if smp { "fig6.4b" } else { "fig6.4a" };
     let cycle = cycle_for(scale, id);
     let sizes_kb: Vec<u64> = (0..12).map(|i| 128u64 << i).collect(); // 128 kB .. 256 MB
+    let sets: Vec<Vec<Sut>> = sizes_kb
+        .iter()
+        .map(|&kb| {
+            let sim = SimConfig {
+                buffers: BufferConfig::symmetric(kb * 1024),
+                ..SimConfig::default()
+            };
+            suts_with(smp, sim)
+        })
+        .collect();
+    let sweeps = run_sweep_sets(&sets, &cycle, &[None], exec);
     let mut all_series: Vec<Series> = Vec::new();
-    for (i, &kb) in sizes_kb.iter().enumerate() {
-        let sim = SimConfig {
-            buffers: BufferConfig::symmetric(kb * 1024),
-            ..SimConfig::default()
-        };
-        let points = run_sweep_exec(&suts_with(smp, sim), &cycle, &[None], exec);
+    for (i, (&kb, points)) in sizes_kb.iter().zip(&sweeps).enumerate() {
         let p = &points[0];
         for (s, sp) in p.suts.iter().enumerate() {
             if i == 0 {

@@ -24,16 +24,17 @@
 //! generator streams `--chunk N`-packet chunks (default 4096; `0`
 //! selects the materialized reference path) through bounded per-sniffer
 //! queues of `--depth N` chunks (default 4). Identical packet streams —
-//! the same (workload, rate, repeat) measured over different SUT sets —
-//! are generated once and shared through a content-addressed,
-//! byte-budgeted cache (`--stream-cache on|off|BYTES[K|M|G]`, default
-//! on at 1 GiB). The simulation is deterministic, so any job count,
-//! chunk size, queue depth or stream-cache setting produces
-//! byte-identical tables and CSV files; the summary reports
-//! per-experiment wall-clock plus how many sweep cells were simulated vs
-//! served from the in-process run cache (with hit rates as
-//! percentages), how many packet streams were generated vs shared, and
-//! the peak resident stream bytes.
+//! the same (workload, rate, repeat) measured over different SUT sets of
+//! one sweep — are generated once and shared through a content-addressed
+//! cache that keeps a stream only until its last declared consumer has
+//! it (`--stream-cache on|off|BYTES[K|M|G]`, default on with a 1 GiB
+//! cap). The simulation is deterministic, so any job count, chunk size,
+//! queue depth or stream-cache setting produces byte-identical tables
+//! and CSV files; the summary reports per-experiment wall-clock plus how
+//! many sweep cells were simulated vs served from the in-process run
+//! cache (with hit rates as percentages), how many packet streams were
+//! generated vs shared, the peak stream bytes each experiment retained
+//! in the cache, and the process's peak RSS.
 //!
 //! `--trace PATH[:FILTER]` records every simulated packet's lifecycle —
 //! wire arrival, NIC ring, bus transfer, filter verdict, kernel buffer,
@@ -130,9 +131,27 @@ fn percent(part: u64, whole: u64) -> f64 {
     }
 }
 
+/// This process's peak resident set size in bytes (`VmHWM` in
+/// `/proc/self/status`); `None` where procfs does not provide it.
+fn peak_rss_bytes() -> Option<u64> {
+    parse_vm_hwm(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:` line of a `/proc/<pid>/status` text, in bytes.
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib = line.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()?;
+    Some(kib * 1024)
+}
+
+/// Bytes as MiB for the summary lines.
+fn mib(bytes: u64) -> f64 {
+    bytes as f64 / (1024.0 * 1024.0)
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); results are identical at any N.\n--chunk N: packets per streamed chunk (default 4096; 0 = materialize the whole run first).\n--depth N: bounded splitter-queue depth in chunks per sniffer (default 4).\n--stream-cache: share identical packet streams across cells through a byte-budgeted\n                content-addressed cache (default on = 1 GiB; off regenerates per cell).\nAll four are execution knobs: tables and CSVs are byte-identical for any setting.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs/--chunk/--depth/--stream-cache; feed two ledgers to\n                `experiments obs diff` to rank what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs/--chunk/--depth/--stream-cache.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
+        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); results are identical at any N.\n--chunk N: packets per streamed chunk (default 4096; 0 = materialize the whole run first).\n--depth N: bounded splitter-queue depth in chunks per sniffer (default 4).\n--stream-cache: share identical packet streams across the cells of a sweep through a\n                content-addressed cache. A stream stays cached only until the last cell\n                declared to read it has it; BYTES caps what is cached at once, evicting\n                early (default on = 1 GiB cap; off regenerates per cell).\nAll four are execution knobs: tables and CSVs are byte-identical for any setting.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs/--chunk/--depth/--stream-cache; feed two ledgers to\n                `experiments obs diff` to rank what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs/--chunk/--depth/--stream-cache.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
     );
     std::process::exit(2);
 }
@@ -453,19 +472,22 @@ fn main() {
             eprintln!("== summary ({:.1}s wall):", t_all.elapsed().as_secs_f64());
             for (id, desc, _e, wall, exec) in &results {
                 eprintln!(
-                    "==   {id:<12} {wall:>7.1}s  {:>5} cells run  {:>5} cached  {:>4} streams gen  {:>4} shared  {:>8.1} MiB peak  ({desc})",
+                    "==   {id:<12} {wall:>7.1}s  {:>5} cells run  {:>5} cached  {:>4} streams gen  {:>4} shared  {:>8.1} MiB retained peak  ({desc})",
                     exec.stats.cells_run(),
                     exec.stats.cells_cached(),
                     exec.stats.streams_generated(),
                     exec.stats.streams_shared(),
-                    exec.stats.peak_stream_bytes() as f64 / (1024.0 * 1024.0)
+                    mib(exec.stats.peak_stream_bytes())
                 );
             }
+            let peak_rss = peak_rss_bytes()
+                .map(|bytes| format!("{:.1} MiB", mib(bytes)))
+                .unwrap_or_else(|| "n/a".into());
             eprintln!(
-                "== total: {total_run} cells run, {total_cached} served from cache ({:.1}% hit rate); {total_generated} streams generated, {total_shared} shared ({:.1}% share rate), {:.1} MiB peak resident",
+                "== total: {total_run} cells run, {total_cached} served from cache ({:.1}% hit rate); {total_generated} streams generated, {total_shared} shared ({:.1}% share rate), {:.1} MiB largest per-figure retained stream peak; process peak RSS {peak_rss}",
                 percent(total_cached, total_run + total_cached),
                 percent(total_shared, total_generated + total_shared),
-                peak_stream_bytes as f64 / (1024.0 * 1024.0)
+                mib(peak_stream_bytes)
             );
             if oracle {
                 let validated: u64 = results
@@ -695,6 +717,18 @@ mod tests {
         let mut dotted = outputs.clone();
         dotted.push(("--ledger 2".to_string(), "out/./b.json".to_string()));
         assert!(find_collision(&dotted).is_some());
+    }
+
+    #[test]
+    fn vm_hwm_parses_from_proc_status() {
+        let status =
+            "Name:\texperiments\nVmPeak:\t  20000 kB\nVmHWM:\t    3044 kB\nVmRSS:\t 2900 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(3044 * 1024));
+        assert_eq!(parse_vm_hwm("VmRSS:\t 2900 kB\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\t lots kB\n"), None);
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_bytes().is_some_and(|bytes| bytes > 0));
+        }
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub struct ExperimentProfile {
     pub streams_generated: u64,
     /// Packet streams shared by subscription (stream-cache hits).
     pub streams_shared: u64,
-    /// High-water mark of resident cached stream bytes.
+    /// High-water mark of the stream bytes this experiment retained in
+    /// the stream cache.
     pub peak_stream_bytes: u64,
     /// Total wall nanoseconds spent simulating cells.
     pub cell_wall_ns: u64,

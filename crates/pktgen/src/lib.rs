@@ -20,7 +20,8 @@
 //!   [`PacketRef`] packet references of the clone-free injection path;
 //! * [`streamcache`] — the process-global, content-addressed
 //!   [`StreamCache`] that generates each distinct stream at most once
-//!   and shares its chunks across measurement cells.
+//!   and shares its chunks across the measurement cells declared to
+//!   consume it, for as long as one of them still needs it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +47,6 @@ pub use source::{
     SourceRefs, DEFAULT_CHUNK_PACKETS,
 };
 pub use streamcache::{
-    chunk_bytes, PublishingSource, StreamCache, StreamKey, StreamPublisher, StreamRole,
-    StreamSubscriber, DEFAULT_STREAM_CACHE_BYTES,
+    chunk_bytes, PublishingSource, RetainedBytes, StreamCache, StreamDemand, StreamKey,
+    StreamPublisher, StreamRole, StreamSubscriber, DEFAULT_STREAM_CACHE_BYTES,
 };

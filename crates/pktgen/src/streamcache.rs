@@ -19,19 +19,32 @@
 //! shared stream is resident exactly once no matter how many cells read
 //! it.
 //!
-//! Residency is bounded: completed streams are evicted least-recently-
-//! used once the cache exceeds its byte budget. Eviction only unlinks a
-//! stream from the cache — cells still holding its chunks keep them
-//! alive until they finish — so it can never corrupt an in-flight cell,
-//! it only forfeits future sharing.
+//! Lifetimes follow declared demand. A sweep [`StreamCache::declare`]s
+//! how many of its cells will consume each key and acquires through the
+//! returned [`StreamDemand`]; every such acquire counts against that
+//! demand. A producer with no other declared consumer publishes nothing
+//! (it generates for itself alone), and a shared stream is unlinked as
+//! soon as its last declared consumer has acquired it — subscribers
+//! already reading keep their `Arc`s until they finish. Dropping the
+//! guard gives back demand that was never acquired (cells answered by a
+//! run cache) and unlinks streams nobody declared will still read.
+//!
+//! An *undeclared* acquire ([`StreamCache::acquire`], or a key the guard
+//! did not declare) keeps least-recently-used retention: the stream stays
+//! until the byte budget forces it out. For every stream the budget is a
+//! cap: completed streams are evicted least-recently-used once the cache
+//! exceeds it. Unlinking and eviction only remove a stream from the cache
+//! — cells still holding its chunks keep them alive until they finish —
+//! so neither can corrupt an in-flight cell; they only forfeit future
+//! sharing.
 //!
 //! [`Fingerprintable`]: pcs_des::Fingerprintable
 
 use crate::generator::TimedPacket;
 use crate::source::{Chunk, PacketSource};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// 128-bit content address of a stream: the finished fingerprint of the
 /// full generator configuration plus rate and per-repeat seed.
@@ -45,14 +58,73 @@ pub fn chunk_bytes(chunk: &Chunk) -> u64 {
     (chunk.len() * std::mem::size_of::<TimedPacket>()) as u64
 }
 
+/// The stream bytes one owner — typically one sweep execution — holds
+/// resident in a [`StreamCache`]: the current level and its high-water
+/// mark. Other owners' streams never count, however the cache is shared.
+#[derive(Debug, Default)]
+pub struct RetainedBytes {
+    current: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl RetainedBytes {
+    /// Bytes this owner currently has resident in the cache.
+    pub fn current(&self) -> u64 {
+        self.current.load(Ordering::Relaxed)
+    }
+
+    /// High-water mark of [`RetainedBytes::current`].
+    pub fn peak(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
+    }
+
+    /// Raise the high-water mark to at least `bytes`, a level observed
+    /// outside this accounting.
+    pub fn note_peak(&self, bytes: u64) {
+        self.peak.fetch_max(bytes, Ordering::Relaxed);
+    }
+
+    fn add(&self, bytes: u64) {
+        let now = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.note_peak(now);
+    }
+
+    fn sub(&self, bytes: u64) {
+        self.current.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
 /// Shared publication state of one stream.
 struct StreamState {
-    chunks: Vec<Chunk>,
+    /// Published chunks still held; `chunks[0]` is chunk number `base`.
+    chunks: VecDeque<Chunk>,
+    base: usize,
+    /// Next chunk number of every subscriber; `None` once dropped.
+    cursors: Vec<Option<usize>>,
+    /// Gone from the cache: no subscriber can join any more, so chunks
+    /// every live subscriber has read are released.
+    unlinked: bool,
     /// The producer finished (or abandoned) the stream.
     done: bool,
     /// The producer was dropped before the stream completed; subscribers
     /// must fail loudly instead of treating the prefix as the stream.
     abandoned: bool,
+}
+
+impl StreamState {
+    /// Drop the chunks no live subscriber will read again. A stream
+    /// still in the cache stays whole for subscribers yet to join.
+    fn release_read(&mut self) {
+        if !self.unlinked {
+            return;
+        }
+        let end = self.base + self.chunks.len();
+        let keep_from = self.cursors.iter().flatten().copied().min().unwrap_or(end);
+        while self.base < keep_from {
+            self.chunks.pop_front();
+            self.base += 1;
+        }
+    }
 }
 
 struct SharedStream {
@@ -64,12 +136,38 @@ impl SharedStream {
     fn new() -> SharedStream {
         SharedStream {
             state: Mutex::new(StreamState {
-                chunks: Vec::new(),
+                chunks: VecDeque::new(),
+                base: 0,
+                cursors: Vec::new(),
+                unlinked: false,
                 done: false,
                 abandoned: false,
             }),
             progress: Condvar::new(),
         }
+    }
+
+    /// Nothing panics while holding this lock and every update leaves
+    /// the state valid, so even a poisoned guard is sound to use (a
+    /// subscriber's `Drop` must not panic).
+    fn lock(&self) -> MutexGuard<'_, StreamState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A new reader from the first chunk (only while still cached).
+    fn subscribe(self: &Arc<Self>) -> StreamSubscriber {
+        let mut state = self.lock();
+        state.cursors.push(Some(0));
+        StreamSubscriber {
+            stream: Arc::clone(self),
+            id: state.cursors.len() - 1,
+        }
+    }
+
+    fn unlink(&self) {
+        let mut state = self.lock();
+        state.unlinked = true;
+        state.release_read();
     }
 }
 
@@ -82,12 +180,34 @@ struct CacheEntry {
     done: bool,
     /// LRU clock value of the most recent acquire.
     last_used: u64,
+    /// Published for declared consumers: unlinked once none is left.
+    /// Otherwise the stream stays until the budget evicts it.
+    scoped: bool,
+    /// Whose retained bytes this stream counts toward.
+    owner: Option<Arc<RetainedBytes>>,
 }
 
 #[derive(Default)]
 struct CacheMap {
     entries: HashMap<StreamKey, CacheEntry>,
+    /// Declared consumers per key that have not acquired yet.
+    demand: HashMap<StreamKey, u64>,
     clock: u64,
+}
+
+impl CacheMap {
+    /// Withdraw `n` declared consumers of `key`; returns how many remain.
+    fn withdraw(&mut self, key: StreamKey, n: u64) -> u64 {
+        let Some(pending) = self.demand.get_mut(&key) else {
+            return 0;
+        };
+        *pending = pending.saturating_sub(n);
+        let left = *pending;
+        if left == 0 {
+            self.demand.remove(&key);
+        }
+        left
+    }
 }
 
 /// What [`StreamCache::acquire`] hands the caller: either the duty to
@@ -135,40 +255,101 @@ impl StreamCache {
         GLOBAL.get_or_init(StreamCache::new)
     }
 
-    /// Acquire the stream at `key`: the first caller becomes the
-    /// producer, everyone else a subscriber. `budget_bytes` is the
-    /// resident-byte bound enforced (by LRU eviction of completed
-    /// streams) while this acquisition publishes.
+    /// Acquire the stream at `key` without declared demand: the first
+    /// caller becomes the producer, everyone else a subscriber, and the
+    /// published stream stays until LRU eviction. `budget_bytes` is the
+    /// resident-byte bound enforced (by evicting completed streams) while
+    /// this acquisition publishes.
     pub fn acquire(&self, key: StreamKey, budget_bytes: u64) -> StreamRole<'_> {
-        let mut map = self.map.lock().expect("stream cache poisoned");
+        self.acquire_as(key, budget_bytes, false, None)
+    }
+
+    /// Declare one future consumer per item of `keys` (repeat a key once
+    /// per consuming cell). Acquire through the returned guard; streams
+    /// it publishes count toward `retained`.
+    pub fn declare(
+        &self,
+        keys: impl IntoIterator<Item = StreamKey>,
+        retained: Arc<RetainedBytes>,
+    ) -> StreamDemand<'_> {
+        let mut unused: HashMap<StreamKey, u64> = HashMap::new();
+        for key in keys {
+            *unused.entry(key).or_default() += 1;
+        }
+        let mut map = self.lock();
+        for (&key, &n) in &unused {
+            *map.demand.entry(key).or_default() += n;
+        }
+        drop(map);
+        StreamDemand {
+            cache: self,
+            unused: Mutex::new(unused),
+            retained,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheMap> {
+        self.map.lock().expect("stream cache poisoned")
+    }
+
+    fn acquire_as(
+        &self,
+        key: StreamKey,
+        budget_bytes: u64,
+        declared: bool,
+        owner: Option<&Arc<RetainedBytes>>,
+    ) -> StreamRole<'_> {
+        let mut map = self.lock();
         map.clock += 1;
         let clock = map.clock;
+        // Declared consumers still to come after this one.
+        let others = if declared { map.withdraw(key, 1) } else { 0 };
         if let Some(entry) = map.entries.get_mut(&key) {
             entry.last_used = clock;
-            let stream = Arc::clone(&entry.stream);
+            let subscriber = entry.stream.subscribe();
+            if declared && others == 0 && entry.scoped {
+                self.unlink(&mut map, key);
+            }
             drop(map);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return StreamRole::Subscribe(StreamSubscriber { stream, next: 0 });
+            return StreamRole::Subscribe(subscriber);
         }
-        let stream = Arc::new(SharedStream::new());
-        map.entries.insert(
-            key,
-            CacheEntry {
-                stream: Arc::clone(&stream),
-                bytes: 0,
-                done: false,
-                last_used: clock,
-            },
-        );
-        drop(map);
         self.misses.fetch_add(1, Ordering::Relaxed);
+        // The sole remaining declared consumer generates for itself and
+        // retains nothing.
+        let stream = (!declared || others > 0).then(|| {
+            let stream = Arc::new(SharedStream::new());
+            map.entries.insert(
+                key,
+                CacheEntry {
+                    stream: Arc::clone(&stream),
+                    bytes: 0,
+                    done: false,
+                    last_used: clock,
+                    scoped: declared,
+                    owner: owner.cloned(),
+                },
+            );
+            stream
+        });
         StreamRole::Produce(StreamPublisher {
             cache: self,
             key,
             stream,
             budget_bytes,
-            finished: false,
         })
+    }
+
+    /// Give back `n` declared consumers of `key` that never acquired it;
+    /// a stream published for declared consumers alone goes with the
+    /// last of them.
+    fn release(&self, key: StreamKey, n: u64) {
+        // Called from `StreamDemand::drop`, which must not panic; every
+        // update of the map leaves it valid.
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        if map.withdraw(key, n) == 0 && map.entries.get(&key).is_some_and(|e| e.scoped) {
+            self.unlink(&mut map, key);
+        }
     }
 
     /// Streams served by subscription instead of regeneration.
@@ -193,11 +374,7 @@ impl StreamCache {
 
     /// Number of streams currently in the cache (including in-progress).
     pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .expect("stream cache poisoned")
-            .entries
-            .len()
+        self.lock().entries.len()
     }
 
     /// Whether the cache holds no streams.
@@ -205,55 +382,75 @@ impl StreamCache {
         self.len() == 0
     }
 
-    /// Evict every *completed* stream (a "cold" cache for benchmarks and
-    /// determinism tests); in-progress streams stay pinned.
-    pub fn clear(&self) {
-        let mut map = self.map.lock().expect("stream cache poisoned");
-        let done: Vec<StreamKey> = map
-            .entries
-            .iter()
-            .filter(|(_, e)| e.done)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in done {
-            if let Some(entry) = map.entries.remove(&key) {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
+    /// Remove `key` from the cache and from its owner's retained bytes.
+    fn unlink(&self, map: &mut CacheMap, key: StreamKey) {
+        if let Some(entry) = map.entries.remove(&key) {
+            entry.stream.unlink();
+            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
+            if let Some(owner) = &entry.owner {
+                owner.sub(entry.bytes);
             }
         }
     }
 
+    /// The entry at `key`, if it still holds `stream` (and not a later
+    /// stream published under the same key after this one was unlinked).
+    fn entry_of<'m>(
+        map: &'m mut CacheMap,
+        key: StreamKey,
+        stream: &Arc<SharedStream>,
+    ) -> Option<&'m mut CacheEntry> {
+        map.entries
+            .get_mut(&key)
+            .filter(|e| Arc::ptr_eq(&e.stream, stream))
+    }
+
     /// Account `bytes` of newly published stream data against `key`.
-    fn note_published(&self, key: StreamKey, bytes: u64, budget_bytes: u64) {
-        let mut map = self.map.lock().expect("stream cache poisoned");
-        if let Some(entry) = map.entries.get_mut(&key) {
+    fn note_published(
+        &self,
+        key: StreamKey,
+        stream: &Arc<SharedStream>,
+        bytes: u64,
+        budget_bytes: u64,
+    ) {
+        let mut map = self.lock();
+        if let Some(entry) = Self::entry_of(&mut map, key, stream) {
             entry.bytes += bytes;
+            if let Some(owner) = &entry.owner {
+                owner.add(bytes);
+            }
             let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
             self.peak_resident.fetch_max(now, Ordering::Relaxed);
-            Self::trim(&mut map, &self.resident, budget_bytes);
+            self.trim(&mut map, budget_bytes);
         }
     }
 
     /// Mark `key` complete (evictable) and enforce the byte budget, or —
     /// when `abandoned` — unlink it so later cells regenerate.
-    fn note_done(&self, key: StreamKey, abandoned: bool, budget_bytes: u64) {
-        let mut map = self.map.lock().expect("stream cache poisoned");
+    fn note_done(
+        &self,
+        key: StreamKey,
+        stream: &Arc<SharedStream>,
+        abandoned: bool,
+        budget_bytes: u64,
+    ) {
+        let mut map = self.lock();
+        let Some(entry) = Self::entry_of(&mut map, key, stream) else {
+            return;
+        };
         if abandoned {
-            if let Some(entry) = map.entries.remove(&key) {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
+            self.unlink(&mut map, key);
             return;
         }
-        if let Some(entry) = map.entries.get_mut(&key) {
-            entry.done = true;
-        }
-        Self::trim(&mut map, &self.resident, budget_bytes);
+        entry.done = true;
+        self.trim(&mut map, budget_bytes);
     }
 
     /// Evict completed streams, least recently used first, until resident
     /// bytes fit the budget. In-progress streams never move; cells still
     /// holding an evicted stream's chunks keep them alive on their own.
-    fn trim(map: &mut CacheMap, resident: &AtomicU64, budget_bytes: u64) {
-        while resident.load(Ordering::Relaxed) > budget_bytes {
+    fn trim(&self, map: &mut CacheMap, budget_bytes: u64) {
+        while self.resident.load(Ordering::Relaxed) > budget_bytes {
             let victim = map
                 .entries
                 .iter()
@@ -261,11 +458,55 @@ impl StreamCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             match victim {
-                Some(key) => {
-                    let entry = map.entries.remove(&key).expect("victim vanished");
-                    resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                }
+                Some(key) => self.unlink(map, key),
                 None => break, // only pinned in-progress streams remain
+            }
+        }
+    }
+}
+
+/// The declared consumers of one sweep: every acquire through it counts
+/// against the demand [`StreamCache::declare`] registered. Dropping it
+/// gives back whatever was never acquired.
+pub struct StreamDemand<'a> {
+    cache: &'a StreamCache,
+    /// Declared consumers per key that have not acquired through this
+    /// guard yet.
+    unused: Mutex<HashMap<StreamKey, u64>>,
+    retained: Arc<RetainedBytes>,
+}
+
+impl<'a> StreamDemand<'a> {
+    /// [`StreamCache::acquire`] as one of this guard's declared
+    /// consumers of `key`; a key with no declared consumer left acquires
+    /// undeclared. Either way, published bytes count toward the guard's
+    /// [`RetainedBytes`].
+    pub fn acquire(&self, key: StreamKey, budget_bytes: u64) -> StreamRole<'a> {
+        let declared = {
+            let mut unused = self.unused.lock().expect("stream demand poisoned");
+            match unused.get_mut(&key) {
+                Some(n) if *n > 0 => {
+                    *n -= 1;
+                    true
+                }
+                _ => false,
+            }
+        };
+        self.cache
+            .acquire_as(key, budget_bytes, declared, Some(&self.retained))
+    }
+}
+
+impl Drop for StreamDemand<'_> {
+    fn drop(&mut self) {
+        let unused = std::mem::take(
+            self.unused
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for (key, n) in unused {
+            if n > 0 {
+                self.cache.release(key, n);
             }
         }
     }
@@ -277,21 +518,31 @@ impl StreamCache {
 pub struct StreamPublisher<'a> {
     cache: &'a StreamCache,
     key: StreamKey,
-    stream: Arc<SharedStream>,
+    /// `None` once complete, or from the start when no other consumer
+    /// is declared: then nothing is published.
+    stream: Option<Arc<SharedStream>>,
     budget_bytes: u64,
-    finished: bool,
 }
 
 impl StreamPublisher<'_> {
+    /// Whether other consumers subscribe to what this publisher publishes.
+    pub fn is_shared(&self) -> bool {
+        self.stream.is_some()
+    }
+
     /// Publish one generated chunk to every subscriber.
     pub fn publish(&mut self, chunk: &Chunk) {
+        let Some(stream) = &self.stream else {
+            return;
+        };
         {
-            let mut state = self.stream.state.lock().expect("stream poisoned");
-            state.chunks.push(Arc::clone(chunk));
+            let mut state = stream.lock();
+            state.chunks.push_back(Arc::clone(chunk));
+            state.release_read();
         }
-        self.stream.progress.notify_all();
+        stream.progress.notify_all();
         self.cache
-            .note_published(self.key, chunk_bytes(chunk), self.budget_bytes);
+            .note_published(self.key, stream, chunk_bytes(chunk), self.budget_bytes);
     }
 
     /// Mark the stream complete: subscribers observe end of stream once
@@ -301,17 +552,17 @@ impl StreamPublisher<'_> {
     }
 
     fn complete(&mut self, abandoned: bool) {
-        if self.finished {
+        let Some(stream) = self.stream.take() else {
             return;
-        }
-        self.finished = true;
+        };
         {
-            let mut state = self.stream.state.lock().expect("stream poisoned");
+            let mut state = stream.lock();
             state.done = true;
             state.abandoned = abandoned;
         }
-        self.stream.progress.notify_all();
-        self.cache.note_done(self.key, abandoned, self.budget_bytes);
+        stream.progress.notify_all();
+        self.cache
+            .note_done(self.key, &stream, abandoned, self.budget_bytes);
     }
 }
 
@@ -366,27 +617,44 @@ impl<S: PacketSource> PacketSource for PublishingSource<'_, S> {
 /// publishing producer.
 pub struct StreamSubscriber {
     stream: Arc<SharedStream>,
-    next: usize,
+    /// This subscriber's slot in the stream's cursors.
+    id: usize,
 }
 
 impl PacketSource for StreamSubscriber {
     fn next_chunk(&mut self) -> Option<Chunk> {
-        let mut state = self.stream.state.lock().expect("stream poisoned");
+        let mut state = self.stream.lock();
         loop {
-            if self.next < state.chunks.len() {
-                let chunk = Arc::clone(&state.chunks[self.next]);
-                self.next += 1;
+            let next = state.cursors[self.id].expect("live subscriber");
+            if let Some(chunk) = state.chunks.get(next - state.base) {
+                let chunk = Arc::clone(chunk);
+                state.cursors[self.id] = Some(next + 1);
+                state.release_read();
                 return Some(chunk);
             }
             if state.done {
+                let abandoned = state.abandoned;
+                drop(state);
                 assert!(
-                    !state.abandoned,
+                    !abandoned,
                     "stream cache producer abandoned its stream mid-publication"
                 );
                 return None;
             }
-            state = self.stream.progress.wait(state).expect("stream poisoned");
+            state = self
+                .stream
+                .progress
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+impl Drop for StreamSubscriber {
+    fn drop(&mut self) {
+        let mut state = self.stream.lock();
+        state.cursors[self.id] = None;
+        state.release_read();
     }
 }
 
@@ -491,23 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_evicts_completed_streams_only() {
-        let cache = StreamCache::new();
-        match cache.acquire((4, 1), u64::MAX) {
-            StreamRole::Produce(p) => drain(PublishingSource::new(gen(100, 3), p)),
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
-        let _pinned = match cache.acquire((4, 2), u64::MAX) {
-            StreamRole::Produce(p) => p, // in progress, never published
-            StreamRole::Subscribe(_) => unreachable!(),
-        };
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert_eq!(cache.len(), 1, "in-progress stream stays pinned");
-        assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "abandoned")]
     fn abandoned_producer_fails_subscribers_loudly() {
         let cache = StreamCache::new();
@@ -521,6 +772,178 @@ mod tests {
         };
         drop(publisher); // producer dies before finishing
         assert!(cache.is_empty(), "abandoned stream must be unlinked");
+        drain(subscriber);
+    }
+
+    fn produce<'a>(role: StreamRole<'a>) -> StreamPublisher<'a> {
+        match role {
+            StreamRole::Produce(p) => p,
+            StreamRole::Subscribe(_) => panic!("expected to produce"),
+        }
+    }
+
+    fn subscribe(role: StreamRole<'_>) -> StreamSubscriber {
+        match role {
+            StreamRole::Produce(_) => panic!("expected to subscribe"),
+            StreamRole::Subscribe(s) => s,
+        }
+    }
+
+    #[test]
+    fn sole_declared_consumer_publishes_nothing() {
+        let cache = StreamCache::new();
+        let retained = Arc::new(RetainedBytes::default());
+        let demand = cache.declare([(7, 1)], Arc::clone(&retained));
+        let publisher = produce(demand.acquire((7, 1), u64::MAX));
+        assert!(
+            cache.is_empty(),
+            "no other consumer: nothing to publish into"
+        );
+        let produced = drain(PublishingSource::new(gen(1_000, 3), publisher));
+        assert!(!produced.is_empty());
+        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.peak_resident_bytes(), 0);
+        assert_eq!((retained.current(), retained.peak()), (0, 0));
+        assert_eq!((cache.misses(), cache.hits()), (1, 0));
+    }
+
+    #[test]
+    fn declared_stream_is_unlinked_after_its_last_consumer_acquires() {
+        let cache = StreamCache::new();
+        let key = (8, 1);
+        let retained = Arc::new(RetainedBytes::default());
+        let demand = cache.declare([key; 3], Arc::clone(&retained));
+        let publisher = produce(demand.acquire(key, u64::MAX));
+        // An in-flight subscriber, reading while the producer publishes.
+        let early = subscribe(demand.acquire(key, u64::MAX));
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(move || drain(early));
+            let mut source = PublishingSource::new(gen(3_000, 5), publisher);
+            let first = source.next_chunk().expect("non-empty stream");
+            assert_eq!(cache.len(), 1, "a third consumer is still declared");
+            assert_eq!(retained.current(), chunk_bytes(&first));
+            // The third and last declared consumer unlinks the stream
+            // mid-publication; both subscribers still see all of it.
+            let late = subscribe(demand.acquire(key, u64::MAX));
+            assert!(cache.is_empty(), "no declared consumer left");
+            assert_eq!(cache.resident_bytes(), 0);
+            assert_eq!(retained.current(), 0);
+            let mut produced = vec![first];
+            produced.extend(drain(source));
+            let read_late = drain(late);
+            let read_early = reader.join().expect("subscriber thread");
+            for read in [read_early, read_late] {
+                assert_eq!(read.len(), produced.len());
+                for (a, b) in produced.iter().zip(&read) {
+                    assert!(Arc::ptr_eq(a, b));
+                }
+            }
+        });
+        assert_eq!((cache.misses(), cache.hits()), (1, 2), "generated once");
+        assert!(retained.peak() > 0);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn unlinked_stream_releases_chunks_its_subscribers_have_read() {
+        let cache = StreamCache::new();
+        let key = (12, 1);
+        let demand = cache.declare([key; 2], Arc::new(RetainedBytes::default()));
+        let produced = drain(PublishingSource::new(
+            gen(1_000, 8),
+            produce(demand.acquire(key, u64::MAX)),
+        ));
+        assert!(produced.len() >= 4);
+        // Still cached: a later subscriber must find every chunk.
+        let mut last = subscribe(demand.acquire(key, u64::MAX));
+        assert!(cache.is_empty(), "the last declared consumer unlinked it");
+        let held = |s: &StreamSubscriber| s.stream.lock().chunks.len();
+        assert_eq!(held(&last), produced.len());
+        for (i, chunk) in produced.iter().enumerate() {
+            assert!(Arc::ptr_eq(chunk, &last.next_chunk().expect("chunk")));
+            assert_eq!(held(&last), produced.len() - i - 1);
+        }
+        assert!(last.next_chunk().is_none());
+    }
+
+    #[test]
+    fn dropping_the_guard_releases_unacquired_demand() {
+        let cache = StreamCache::new();
+        let key = (9, 1);
+        let retained = Arc::new(RetainedBytes::default());
+        let demand = cache.declare([key; 4], Arc::clone(&retained));
+        // Two consumers acquire; the other two were answered elsewhere
+        // (run-cache hits) and never will.
+        drain(PublishingSource::new(
+            gen(500, 2),
+            produce(demand.acquire(key, u64::MAX)),
+        ));
+        drain(subscribe(demand.acquire(key, u64::MAX)));
+        assert_eq!(cache.len(), 1, "two declared consumers still pending");
+        assert!(retained.current() > 0);
+        drop(demand);
+        assert!(cache.is_empty(), "released demand unlinks the stream");
+        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(retained.current(), 0);
+        assert!(cache.lock().demand.is_empty(), "no demand left behind");
+        // With no demand left, a later declared sole consumer regenerates.
+        let again = cache.declare([key], Arc::clone(&retained));
+        drain(PublishingSource::new(
+            gen(500, 2),
+            produce(again.acquire(key, u64::MAX)),
+        ));
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn undeclared_acquire_keeps_lru_retention() {
+        let cache = StreamCache::new();
+        let retained = Arc::new(RetainedBytes::default());
+        // A guard that declared nothing acquires undeclared.
+        let demand = cache.declare([], Arc::clone(&retained));
+        let produced = drain(PublishingSource::new(
+            gen(700, 4),
+            produce(demand.acquire((10, 1), u64::MAX)),
+        ));
+        let bytes: u64 = produced.iter().map(chunk_bytes).sum();
+        drop(demand);
+        assert_eq!(cache.len(), 1, "undeclared streams outlive the guard");
+        assert_eq!(cache.resident_bytes(), bytes);
+        assert_eq!(retained.current(), bytes);
+        // Plain acquires subscribe to it, and publish for later ones.
+        drain(subscribe(cache.acquire((10, 1), u64::MAX)));
+        drain(subscribe(cache.acquire((10, 1), u64::MAX)));
+        drain(PublishingSource::new(
+            gen(700, 5),
+            produce(cache.acquire((10, 2), u64::MAX)),
+        ));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(retained.current(), bytes, "plain acquires have no owner");
+        // Only the budget makes them go, least recently used first.
+        drain(PublishingSource::new(
+            gen(700, 6),
+            produce(cache.acquire((10, 3), 2 * bytes)),
+        ));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(retained.current(), 0, "(10, 1) was the LRU victim");
+        produce(cache.acquire((10, 1), u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "abandoned")]
+    fn abandoned_producer_with_pending_demand_fails_subscribers_loudly() {
+        let cache = StreamCache::new();
+        let key = (11, 1);
+        let retained = Arc::new(RetainedBytes::default());
+        let demand = cache.declare([key; 3], Arc::clone(&retained));
+        let mut publisher = produce(demand.acquire(key, u64::MAX));
+        let subscriber = subscribe(demand.acquire(key, u64::MAX));
+        let chunk = gen(300, 1).next_chunk().expect("chunk");
+        publisher.publish(&chunk);
+        assert!(retained.current() > 0);
+        drop(publisher); // dies with one declared consumer still pending
+        assert!(cache.is_empty(), "abandoned stream must be unlinked");
+        assert_eq!(retained.current(), 0);
         drain(subscriber);
     }
 

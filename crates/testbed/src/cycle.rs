@@ -27,8 +27,10 @@
 //! [`StreamCache`](pcs_pktgen::StreamCache): cells that differ only in
 //! their SUT set address the same (workload, rate, repeat) stream, so
 //! the first generates and publishes it while the rest subscribe to the
-//! published chunks (CLI `--stream-cache`, byte-budgeted; `off`
-//! regenerates per cell, byte-identically).
+//! published chunks (CLI `--stream-cache`, byte-capped; `off`
+//! regenerates per cell, byte-identically). A sweep declares how many of
+//! its cells consume each stream ([`run_sweep_sets`]), so a stream is
+//! kept only until its last consumer has it.
 
 use crate::cache::{cell_key_faulted, stream_key, wide_key, CellResult, CellSut, RunCache};
 use crate::sched::{parallel_ordered, ExecConfig};
@@ -40,11 +42,13 @@ use pcs_faultsim::{FaultPlan, Oracle};
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
 use pcs_pktgen::{
-    ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
-    StreamCache, StreamRole, TimedPacket, TxModel,
+    Chunk, ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
+    StreamCache, StreamDemand, StreamRole, TimedPacket, TxModel,
 };
 use pcs_trace::{SutTrace, TraceSink, TraceSpec};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::Instant;
 
 /// One system under test: hardware plus kernel/application configuration.
@@ -257,17 +261,18 @@ pub fn cell_label(rate: Option<f64>, repeat: u32) -> String {
 /// and the cell's per-SUT event logs, metrics and drop attributions are
 /// recorded in the collector (first write wins; duplicates are
 /// identical by determinism). Tracing never changes the distilled
-/// numbers.
+/// numbers. A streaming cell obtains its stream through `streams`.
 fn run_cell(
     suts: &[Sut],
     cfg: &CycleConfig,
     rate: Option<f64>,
     repeat: u32,
     exec: &ExecConfig,
+    streams: &SweepStreams,
 ) -> CellResult {
     let spec = exec.trace.as_ref().map(|collector| collector.spec());
     let (achieved, mut reports) = if exec.pipeline.is_streaming() && !suts.is_empty() {
-        run_cell_streaming(suts, cfg, rate, repeat, exec, spec)
+        run_cell_streaming(suts, cfg, rate, repeat, exec, streams, spec)
     } else {
         let (stream, achieved) = generate_run(cfg, rate, repeat);
         (
@@ -323,43 +328,125 @@ fn run_cell(
     result
 }
 
+/// A generator and the channel its next chunk comes back on.
+type ChunkRequest = (ChunkedGenerator, SyncSender<ChunkReply>);
+type ChunkReply = (ChunkedGenerator, Option<Chunk>);
+
+/// How a sweep's cells obtain their packet streams.
+struct SweepStreams {
+    /// The cells' declared consumption of each stream.
+    demand: StreamDemand<'static>,
+    /// The sweep's publisher thread, when a stream has several consumers.
+    ///
+    /// The system allocator keeps an arena per thread and reuses freed
+    /// memory only within its arena. A published stream stays resident
+    /// for its later subscribers while the stream before it is still
+    /// being freed by its last consumer; generated on whichever worker
+    /// happened to claim their first cells, the two would sit in
+    /// different arenas and both stay resident to the end. Generating
+    /// every published stream of a sweep on one thread lets each reuse
+    /// what its predecessor gives back.
+    publisher: Option<Sender<ChunkRequest>>,
+}
+
+/// Serve chunk requests on a thread of `scope` until every sender is
+/// dropped.
+fn spawn_publisher<'scope>(scope: &'scope Scope<'scope, '_>) -> Sender<ChunkRequest> {
+    let (requests, served) = mpsc::channel::<ChunkRequest>();
+    scope.spawn(move || {
+        for (mut gen, reply) in served {
+            let chunk = gen.next_chunk();
+            // A requester that is unwinding no longer listens.
+            let _ = reply.send((gen, chunk));
+        }
+    });
+    requests
+}
+
+/// A [`ChunkedGenerator`] whose chunks are generated on a sweep's
+/// publisher thread, one request per chunk.
+struct PublisherThreadSource {
+    gen: Option<ChunkedGenerator>,
+    publisher: Sender<ChunkRequest>,
+    reply: (SyncSender<ChunkReply>, Receiver<ChunkReply>),
+}
+
+impl PublisherThreadSource {
+    fn new(gen: ChunkedGenerator, publisher: Sender<ChunkRequest>) -> PublisherThreadSource {
+        PublisherThreadSource {
+            gen: Some(gen),
+            publisher,
+            reply: mpsc::sync_channel(1),
+        }
+    }
+}
+
+impl PacketSource for PublisherThreadSource {
+    fn next_chunk(&mut self) -> Option<Chunk> {
+        let gen = self.gen.take()?;
+        let lost = "the sweep's publisher thread exited";
+        self.publisher
+            .send((gen, self.reply.0.clone()))
+            .expect(lost);
+        let (gen, chunk) = self.reply.1.recv().expect(lost);
+        self.gen = Some(gen);
+        chunk
+    }
+}
+
+/// The stream cache's byte cap for `exec`'s cells (`0` = off).
+///
+/// An armed cache-squeeze fault starves it — an execution perturbation
+/// (eviction churn, re-generation) that must leave results
+/// byte-identical.
+fn stream_budget(exec: &ExecConfig) -> u64 {
+    let bytes = exec.pipeline.stream_cache_bytes;
+    exec.faults
+        .as_deref()
+        .map(|plan| plan.clamp_stream_budget(bytes))
+        .unwrap_or(bytes)
+}
+
 /// The cell's chunk source: the generator, optionally teed through or
 /// replaced by the content-addressed [`StreamCache`].
 ///
 /// With a non-zero budget the first cell to need a (workload, rate,
-/// repeat) stream generates and publishes it; every concurrent or later
-/// cell — typically the same measurement point over a *different* SUT
-/// set — subscribes to the published chunks instead of running the
-/// generator again. Subscribed chunks flow through the very same switch
-/// accounting and splitter broadcast as generated ones, so results are
-/// byte-identical either way.
+/// repeat) stream generates it, publishing it if the sweep declares
+/// another consumer; every concurrent or later declared cell — typically
+/// the same measurement point over a *different* SUT set — subscribes to
+/// the published chunks instead of running the generator again.
+/// Subscribed chunks flow through the very same switch accounting and
+/// splitter broadcast as generated ones, so results are byte-identical
+/// either way.
 fn cell_source(
     cfg: &CycleConfig,
     rate: Option<f64>,
     repeat: u32,
     exec: &ExecConfig,
+    streams: &SweepStreams,
 ) -> Box<dyn PacketSource> {
     let pipeline = exec.pipeline;
     let stats = &exec.stats;
-    // An armed cache-squeeze fault starves the stream cache's byte
-    // budget — an execution perturbation (eviction churn, re-generation)
-    // that must leave results byte-identical.
-    let budget = exec
-        .faults
-        .as_deref()
-        .map(|plan| plan.clamp_stream_budget(pipeline.stream_cache_bytes))
-        .unwrap_or(pipeline.stream_cache_bytes);
+    let budget = stream_budget(exec);
     let generate =
         || ChunkedGenerator::new(build_generator(cfg, rate, repeat), pipeline.chunk_packets);
     if budget == 0 {
         return Box::new(generate());
     }
-    let cache = StreamCache::global();
     let probe = stats.profiling().then(Instant::now);
-    match cache.acquire(stream_key(cfg, rate, repeat), budget) {
+    match streams
+        .demand
+        .acquire(stream_key(cfg, rate, repeat), budget)
+    {
         StreamRole::Produce(publisher) => {
             stats.record_stream_generated();
-            Box::new(PublishingSource::new(generate(), publisher))
+            match &streams.publisher {
+                Some(thread) if publisher.is_shared() => Box::new(PublishingSource::new(
+                    PublisherThreadSource::new(generate(), thread.clone()),
+                    publisher,
+                )),
+                _ => Box::new(PublishingSource::new(generate(), publisher)),
+            }
         }
         StreamRole::Subscribe(subscriber) => {
             if let Some(t0) = probe {
@@ -383,10 +470,11 @@ fn run_cell_streaming(
     rate: Option<f64>,
     repeat: u32,
     exec: &ExecConfig,
+    streams: &SweepStreams,
     trace: Option<TraceSpec>,
 ) -> (f64, Vec<RunReport>) {
     let pipeline = exec.pipeline;
-    let mut source = cell_source(cfg, rate, repeat, exec);
+    let mut source = cell_source(cfg, rate, repeat, exec, streams);
     let splitter = OpticalSplitter::new(suts.len() as u32);
     let (sender, outputs) = splitter.channel(pipeline.depth_chunks);
 
@@ -444,10 +532,6 @@ fn run_cell_streaming(
         delta.out_pkts, cfg.count,
         "switch must confirm every generated packet went out"
     );
-    if pipeline.stream_cache_bytes > 0 {
-        exec.stats
-            .note_stream_resident(StreamCache::global().resident_bytes());
-    }
     (account.achieved_mbps(), reports)
 }
 
@@ -465,6 +549,7 @@ fn run_cell_cached(
     rate: Option<f64>,
     repeat: u32,
     exec: &ExecConfig,
+    streams: &SweepStreams,
 ) -> CellResult {
     let key = cell_key_faulted(suts, cfg, rate, repeat, exec.faults.as_deref());
     let cache = RunCache::global();
@@ -485,7 +570,7 @@ fn run_cell_cached(
         }
     }
     let started = profiling.then(Instant::now);
-    let result = run_cell(suts, cfg, rate, repeat, exec);
+    let result = run_cell(suts, cfg, rate, repeat, exec, streams);
     if let Some(t0) = started {
         exec.stats.note_cell_wall(t0.elapsed().as_nanos() as u64);
     }
@@ -546,12 +631,9 @@ pub fn aggregate_point(
 /// assert!(point.suts.iter().all(|s| s.capture > 0.99));
 /// ```
 pub fn run_point(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>) -> PointResult {
-    let exec = ExecConfig::serial();
-    let cells: Vec<CellResult> = (0..cfg.repeats)
-        .map(|repeat| run_cell_cached(suts, cfg, rate, repeat, &exec))
-        .collect();
-    let labels: Vec<String> = suts.iter().map(|sut| sut.spec.label()).collect();
-    aggregate_point(rate, cfg.count, &labels, &cells)
+    run_sweep(suts, cfg, &[rate])
+        .pop()
+        .expect("one rate, one point")
 }
 
 /// Run all sniffers over one shared stream, concurrently. Scoped worker
@@ -612,42 +694,87 @@ pub fn run_sweep(suts: &[Sut], cfg: &CycleConfig, rates: &[Option<f64>]) -> Vec<
     run_sweep_exec(suts, cfg, rates, &ExecConfig::serial())
 }
 
-/// The parallel sweep engine: schedule every (rate × repeat) cell of the
-/// sweep as an independent job on a bounded worker pool and assemble the
-/// per-rate [`PointResult`]s **in input order**, regardless of which
-/// worker finishes when.
-///
-/// Each cell generates its own packet stream (the per-repeat seed
-/// derivation the serial cycle already used) and runs its SUT sims, so
-/// the output is bit-identical to [`run_sweep`] for any `exec.jobs`.
-/// Cells are memoized in the process-global [`RunCache`]; `exec.stats`
-/// counts how many were simulated vs served from cache.
+/// The parallel sweep engine over one SUT set: [`run_sweep_sets`] with
+/// a single set. Bit-identical to [`run_sweep`] for any `exec.jobs`.
 pub fn run_sweep_exec(
     suts: &[Sut],
     cfg: &CycleConfig,
     rates: &[Option<f64>],
     exec: &ExecConfig,
 ) -> Vec<PointResult> {
+    run_sweep_sets(&[suts], cfg, rates, exec)
+        .pop()
+        .expect("one SUT set, one sweep")
+}
+
+/// The parallel sweep engine: schedule every (rate × repeat × SUT set)
+/// cell as an independent job on a bounded worker pool and assemble each
+/// set's per-rate [`PointResult`]s **in input order**, regardless of
+/// which worker finishes when.
+///
+/// Each (rate, repeat) has one packet stream (the per-repeat seed
+/// derivation the serial cycle already used), consumed by one cell per
+/// non-empty SUT set. Those cells are adjacent in cell order, and the
+/// sweep declares them to the [`StreamCache`] before it starts: the
+/// first generates the stream (on the sweep's publisher thread), the
+/// rest subscribe, and the stream leaves the cache as soon as the last
+/// has it (or when the sweep returns, for cells the run cache
+/// answered). Cells are memoized in the process-global [`RunCache`];
+/// `exec.stats` counts how many were simulated vs served from cache.
+/// Results are bit-identical for any `exec.jobs` and equal to one
+/// [`run_sweep_exec`] per set.
+pub fn run_sweep_sets<S: AsRef<[Sut]> + Sync>(
+    sets: &[S],
+    cfg: &CycleConfig,
+    rates: &[Option<f64>],
+    exec: &ExecConfig,
+) -> Vec<Vec<PointResult>> {
     let repeats = cfg.repeats as usize;
-    let cells: Vec<(usize, u32)> = rates
+    let points: Vec<(Option<f64>, u32)> = rates
         .iter()
-        .enumerate()
-        .flat_map(|(ri, _)| (0..cfg.repeats).map(move |rep| (ri, rep)))
+        .flat_map(|&rate| (0..cfg.repeats).map(move |rep| (rate, rep)))
         .collect();
-    let results: Vec<CellResult> = parallel_ordered(cells, exec.jobs, |_, (ri, repeat)| {
-        run_cell_cached(suts, cfg, rates[ri], repeat, exec)
-    });
-    let labels: Vec<String> = suts.iter().map(|sut| sut.spec.label()).collect();
-    rates
+    // Empty sets simulate nothing and never acquire a stream.
+    let consumers = if exec.pipeline.is_streaming() && stream_budget(exec) > 0 {
+        sets.iter().filter(|suts| !suts.as_ref().is_empty()).count()
+    } else {
+        0
+    };
+    let demand = StreamCache::global().declare(
+        points
+            .iter()
+            .flat_map(|&(rate, rep)| std::iter::repeat_n(stream_key(cfg, rate, rep), consumers)),
+        Arc::clone(exec.stats.stream_retained()),
+    );
+    let cells: Vec<(Option<f64>, u32, &[Sut])> = points
         .iter()
+        .flat_map(|&(rate, rep)| sets.iter().map(move |suts| (rate, rep, suts.as_ref())))
+        .collect();
+    let results: Vec<CellResult> = std::thread::scope(|scope| {
+        // Dropped when the cells are done: gives back the demand cells
+        // the run cache answered, and ends the publisher thread.
+        let streams = SweepStreams {
+            demand,
+            publisher: (consumers > 1).then(|| spawn_publisher(scope)),
+        };
+        parallel_ordered(cells, exec.jobs, |_, (rate, repeat, suts)| {
+            run_cell_cached(suts, cfg, rate, repeat, exec, &streams)
+        })
+    });
+    sets.iter()
         .enumerate()
-        .map(|(ri, &rate)| {
-            aggregate_point(
-                rate,
-                cfg.count,
-                &labels,
-                &results[ri * repeats..(ri + 1) * repeats],
-            )
+        .map(|(si, suts)| {
+            let labels: Vec<String> = suts.as_ref().iter().map(|sut| sut.spec.label()).collect();
+            rates
+                .iter()
+                .enumerate()
+                .map(|(ri, &rate)| {
+                    let cells: Vec<CellResult> = (0..repeats)
+                        .map(|rep| results[(ri * repeats + rep) * sets.len() + si].clone())
+                        .collect();
+                    aggregate_point(rate, cfg.count, &labels, &cells)
+                })
+                .collect()
         })
         .collect()
 }
@@ -668,6 +795,14 @@ mod tests {
     use super::*;
     use crate::sched::PipelineConfig;
     use pcs_oskernel::BufferConfig;
+
+    /// Acquire with no declared demand (LRU retention), charged to `exec`.
+    fn undeclared(exec: &ExecConfig) -> SweepStreams {
+        SweepStreams {
+            demand: StreamCache::global().declare([], Arc::clone(exec.stats.stream_retained())),
+            publisher: None,
+        }
+    }
 
     fn quick_cfg() -> CycleConfig {
         let mut c = CycleConfig::mwn(8_000, 42);
@@ -767,7 +902,7 @@ mod tests {
         let exec = ExecConfig::serial();
         for rate in [Some(250.0), None] {
             let materialized = exec.clone().with_pipeline(PipelineConfig::materialized());
-            let reference = run_cell(&suts, &cfg, rate, 0, &materialized);
+            let reference = run_cell(&suts, &cfg, rate, 0, &materialized, &undeclared(&exec));
             for chunk_packets in [1usize, 1009, 4096] {
                 for depth_chunks in [1usize, 4] {
                     let pipeline = PipelineConfig {
@@ -775,8 +910,14 @@ mod tests {
                         depth_chunks,
                         stream_cache_bytes: 0,
                     };
-                    let streamed =
-                        run_cell(&suts, &cfg, rate, 0, &exec.clone().with_pipeline(pipeline));
+                    let streamed = run_cell(
+                        &suts,
+                        &cfg,
+                        rate,
+                        0,
+                        &exec.clone().with_pipeline(pipeline),
+                        &undeclared(&exec),
+                    );
                     assert_eq!(
                         reference, streamed,
                         "chunk={chunk_packets} depth={depth_chunks} rate={rate:?}"
@@ -807,11 +948,19 @@ mod tests {
             },
         ];
         let exec = ExecConfig::serial();
+        let streams = undeclared(&exec);
         for rate in [Some(250.0), None] {
             let off = PipelineConfig::streaming().with_stream_cache(0);
-            let reference = run_cell(&suts, &cfg, rate, 0, &exec.clone().with_pipeline(off));
+            let reference = run_cell(
+                &suts,
+                &cfg,
+                rate,
+                0,
+                &exec.clone().with_pipeline(off),
+                &streams,
+            );
             // First cached run generates and publishes …
-            let cold = run_cell(&suts, &cfg, rate, 0, &exec);
+            let cold = run_cell(&suts, &cfg, rate, 0, &exec, &streams);
             // … the second subscribes, through a *different* chunk size
             // (subscribers take the producer's chunk boundaries).
             let warm = run_cell(
@@ -820,6 +969,7 @@ mod tests {
                 rate,
                 0,
                 &exec.clone().with_pipeline(PipelineConfig::with_chunk(1009)),
+                &streams,
             );
             assert_eq!(reference, cold, "rate={rate:?}");
             assert_eq!(reference, warm, "rate={rate:?}");
@@ -832,8 +982,8 @@ mod tests {
     #[test]
     fn sut_sets_share_one_generated_stream_per_point() {
         // The acceptance criterion of the stream cache: N SUT sets at
-        // the same (rate, repeat) grid generate each stream exactly
-        // once. Unique packet count — see above.
+        // the same (rate, repeat) grid of one sweep generate each stream
+        // exactly once. Unique packet count — see above.
         let mut cfg = CycleConfig::mwn(8_101, 4242);
         cfg.repeats = 2;
         let rates = [Some(120.0), Some(360.0)];
@@ -852,17 +1002,28 @@ mod tests {
             },
         ];
         let exec = ExecConfig::with_jobs(2);
-        run_sweep_exec(&set_a, &cfg, &rates, &exec);
+        let sweeps = run_sweep_sets(&[set_a.clone(), set_b.clone()], &cfg, &rates, &exec);
         assert_eq!(exec.stats.streams_generated(), 4, "rates × repeats");
-        assert_eq!(exec.stats.streams_shared(), 0);
-        run_sweep_exec(&set_b, &cfg, &rates, &exec);
         assert_eq!(
-            exec.stats.streams_generated(),
+            exec.stats.streams_shared(),
             4,
             "a different SUT set must not regenerate any stream"
         );
-        assert_eq!(exec.stats.streams_shared(), 4);
         assert!(exec.stats.peak_stream_bytes() > 0);
+        assert_eq!(
+            exec.stats.stream_retained().current(),
+            0,
+            "every stream leaves with its last consumer"
+        );
+        // One sweep per set assembles the very same points (all cells
+        // are served from the run cache now).
+        let single = ExecConfig::with_jobs(2);
+        let separate = [
+            run_sweep_exec(&set_a, &cfg, &rates, &single),
+            run_sweep_exec(&set_b, &cfg, &rates, &single),
+        ];
+        assert_eq!(format!("{sweeps:?}"), format!("{separate:?}"));
+        assert_eq!(single.stats.cells_cached(), 8);
     }
 
     #[test]
@@ -871,6 +1032,7 @@ mod tests {
         let (stream, achieved) = generate_run(&cfg, Some(100.0), 0);
         assert!(stream.is_empty());
         assert_eq!(achieved, 0.0);
+        let exec = ExecConfig::serial();
         let streamed = run_cell(
             &[Sut {
                 spec: MachineSpec::moorhen(),
@@ -879,7 +1041,8 @@ mod tests {
             &cfg,
             Some(100.0),
             0,
-            &ExecConfig::serial(),
+            &exec,
+            &undeclared(&exec),
         );
         assert_eq!(streamed.achieved_mbps, 0.0);
         assert_eq!(streamed.suts.len(), 1);
@@ -903,7 +1066,7 @@ mod tests {
         ];
         let collector = Arc::new(TraceCollector::new(TraceSpec::default()));
         let exec = ExecConfig::serial().with_trace(Arc::clone(&collector));
-        let traced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &exec);
+        let traced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &exec, &undeclared(&exec));
         assert_eq!(collector.len(), 1);
         let cell = &collector.cells()[0];
         assert_eq!(cell.label, "rate=300.0 rep=0");
@@ -919,14 +1082,28 @@ mod tests {
         // The same cell untraced must distill identically (the sink only
         // observes) and be served from the run cache.
         let untraced_exec = ExecConfig::serial();
-        let untraced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &untraced_exec);
+        let untraced = run_cell_cached(
+            &suts,
+            &cfg,
+            Some(300.0),
+            0,
+            &untraced_exec,
+            &undeclared(&untraced_exec),
+        );
         assert_eq!(format!("{traced:?}"), format!("{untraced:?}"));
         assert_eq!(untraced_exec.stats.cells_cached(), 1);
         // A fresh collector re-runs the cached cell to reproduce its
         // trace (the memo table stores distilled numbers only).
         let fresh = Arc::new(TraceCollector::new(TraceSpec::default()));
         let retrace_exec = ExecConfig::serial().with_trace(Arc::clone(&fresh));
-        let retraced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &retrace_exec);
+        let retraced = run_cell_cached(
+            &suts,
+            &cfg,
+            Some(300.0),
+            0,
+            &retrace_exec,
+            &undeclared(&retrace_exec),
+        );
         assert_eq!(retrace_exec.stats.cells_run(), 1);
         assert_eq!(retrace_exec.stats.cells_cached(), 0);
         assert_eq!(format!("{traced:?}"), format!("{retraced:?}"));

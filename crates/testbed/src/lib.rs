@@ -21,9 +21,11 @@
 //! Across cells, generation itself is shared: streams are
 //! content-addressed ([`stream_key`]) in the process-global
 //! [`StreamCache`](pcs_pktgen::StreamCache), so N SUT sets measured at
-//! the same (workload, rate, repeat) grid generate each packet stream
-//! exactly once and subscribe to its chunks thereafter (`--stream-cache`;
-//! byte-budgeted, LRU-bounded, `off` for per-cell regeneration).
+//! the same (workload, rate, repeat) grid of one [`run_sweep_sets`] call
+//! generate each packet stream exactly once and subscribe to its chunks
+//! thereafter. The sweep declares how many cells consume each stream,
+//! and a stream is dropped from the cache once its last consumer has it
+//! (`--stream-cache`; byte-capped, `off` for per-cell regeneration).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,8 +38,8 @@ pub mod switch;
 
 pub use cache::{cell_key, stream_key, wide_key, CellKey, CellResult, CellSut, RunCache};
 pub use cycle::{
-    aggregate_point, cell_label, run_point, run_sniffers, run_sweep, run_sweep_exec, standard_suts,
-    CycleConfig, PointResult, Sut, SutPoint,
+    aggregate_point, cell_label, run_point, run_sniffers, run_sweep, run_sweep_exec,
+    run_sweep_sets, standard_suts, CycleConfig, PointResult, Sut, SutPoint,
 };
 pub use sched::{
     available_parallelism, parallel_ordered, parse_stream_cache_bytes, ExecConfig, ExecStats,

@@ -10,6 +10,7 @@
 
 use pcs_des::{BatchProbe, PoolProbe};
 use pcs_faultsim::FaultPlan;
+use pcs_pktgen::RetainedBytes;
 use pcs_trace::TraceCollector;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +31,9 @@ pub struct ExecStats {
     cells_validated: AtomicU64,
     streams_generated: AtomicU64,
     streams_shared: AtomicU64,
-    peak_stream_bytes: AtomicU64,
+    /// Stream bytes this execution's cells keep resident in the stream
+    /// cache (never other executions' streams).
+    stream_retained: Arc<RetainedBytes>,
     profile: AtomicBool,
     cell_wall_ns: AtomicU64,
     cell_wall_ns_max: AtomicU64,
@@ -72,10 +75,11 @@ impl ExecStats {
         self.streams_shared.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Note the stream cache's resident-byte level observed by a cell;
-    /// keeps the high-water mark.
+    /// Raise the retained-stream high-water mark to a level observed
+    /// outside this execution's own cache accounting (for cell loops
+    /// that acquire streams without [`ExecStats::stream_retained`]).
     pub fn note_stream_resident(&self, bytes: u64) {
-        self.peak_stream_bytes.fetch_max(bytes, Ordering::Relaxed);
+        self.stream_retained.note_peak(bytes);
     }
 
     /// Cells simulated so far.
@@ -103,10 +107,16 @@ impl ExecStats {
         self.streams_shared.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of resident cached stream bytes observed by this
-    /// execution's cells.
+    /// High-water mark of the stream bytes this execution retained in
+    /// the stream cache.
     pub fn peak_stream_bytes(&self) -> u64 {
-        self.peak_stream_bytes.load(Ordering::Relaxed)
+        self.stream_retained.peak()
+    }
+
+    /// The account streams published by this execution's cells are
+    /// charged to (hand it to [`pcs_pktgen::StreamCache::declare`]).
+    pub fn stream_retained(&self) -> &Arc<RetainedBytes> {
+        &self.stream_retained
     }
 
     /// Turn on host-side profiling for every execution sharing these
@@ -188,9 +198,10 @@ pub struct PipelineConfig {
     /// (clamped to ≥ 1). Peak pipeline memory is roughly
     /// `chunk_packets × (depth_chunks + 1) × ways` packets.
     pub depth_chunks: usize,
-    /// Byte budget of the process-global content-addressed stream cache
-    /// (`0` = off: every cell regenerates its own stream). Only the
-    /// streaming path consults the cache.
+    /// Byte cap on the process-global content-addressed stream cache
+    /// (`0` = off: every cell regenerates its own stream). Declared
+    /// demand decides how long a stream is kept; the cap only evicts
+    /// early. Only the streaming path consults the cache.
     pub stream_cache_bytes: u64,
 }
 
