@@ -25,18 +25,18 @@
 //! demand. A producer with no other declared consumer publishes nothing
 //! (it generates for itself alone), and a shared stream is unlinked as
 //! soon as its last declared consumer has acquired it — subscribers
-//! already reading keep their `Arc`s until they finish. Dropping the
-//! guard gives back demand that was never acquired (cells answered by a
-//! run cache) and unlinks streams nobody declared will still read.
+//! already reading keep their `Arc`s until they finish.
+//! [`StreamDemand::forgo`] withdraws a declared consumer that will never
+//! acquire (a cell answered by a run cache), and dropping the guard gives
+//! back whatever demand is still unacquired (a sweep that unwound early).
 //!
-//! An *undeclared* acquire ([`StreamCache::acquire`], or a key the guard
-//! did not declare) keeps least-recently-used retention: the stream stays
-//! until the byte budget forces it out. For every stream the budget is a
-//! cap: completed streams are evicted least-recently-used once the cache
-//! exceeds it. Unlinking and eviction only remove a stream from the cache
-//! — cells still holding its chunks keep them alive until they finish —
-//! so neither can corrupt an in-flight cell; they only forfeit future
-//! sharing.
+//! An *undeclared* acquire ([`StreamCache::acquire`]) keeps least-
+//! recently-used retention: the stream stays until the byte budget forces
+//! it out. For every stream the budget is a cap: completed streams are
+//! evicted least-recently-used once the cache exceeds it. Unlinking and
+//! eviction only remove a stream from the cache — cells still holding
+//! its chunks keep them alive until they finish — so neither can corrupt
+//! an in-flight cell; they only forfeit future sharing.
 //!
 //! [`Fingerprintable`]: pcs_des::Fingerprintable
 
@@ -180,10 +180,9 @@ struct CacheEntry {
     done: bool,
     /// LRU clock value of the most recent acquire.
     last_used: u64,
-    /// Published for declared consumers: unlinked once none is left.
-    /// Otherwise the stream stays until the budget evicts it.
-    scoped: bool,
-    /// Whose retained bytes this stream counts toward.
+    /// Set when published for declared consumers: whose retained bytes
+    /// the stream counts toward, and it is unlinked once no declared
+    /// consumer is left. Otherwise it stays until the budget evicts it.
     owner: Option<Arc<RetainedBytes>>,
 }
 
@@ -261,12 +260,13 @@ impl StreamCache {
     /// resident-byte bound enforced (by evicting completed streams) while
     /// this acquisition publishes.
     pub fn acquire(&self, key: StreamKey, budget_bytes: u64) -> StreamRole<'_> {
-        self.acquire_as(key, budget_bytes, false, None)
+        self.acquire_as(key, budget_bytes, None)
     }
 
     /// Declare one future consumer per item of `keys` (repeat a key once
-    /// per consuming cell). Acquire through the returned guard; streams
-    /// it publishes count toward `retained`.
+    /// per consuming cell). Acquire through the returned guard, which
+    /// accepts only the keys declared here; streams it publishes count
+    /// toward `retained`.
     pub fn declare(
         &self,
         keys: impl IntoIterator<Item = StreamKey>,
@@ -292,13 +292,15 @@ impl StreamCache {
         self.map.lock().expect("stream cache poisoned")
     }
 
+    /// Acquire `key`, as a declared consumer charged to `owner` when one
+    /// is given.
     fn acquire_as(
         &self,
         key: StreamKey,
         budget_bytes: u64,
-        declared: bool,
         owner: Option<&Arc<RetainedBytes>>,
     ) -> StreamRole<'_> {
+        let declared = owner.is_some();
         let mut map = self.lock();
         map.clock += 1;
         let clock = map.clock;
@@ -307,7 +309,7 @@ impl StreamCache {
         if let Some(entry) = map.entries.get_mut(&key) {
             entry.last_used = clock;
             let subscriber = entry.stream.subscribe();
-            if declared && others == 0 && entry.scoped {
+            if declared && others == 0 && entry.owner.is_some() {
                 self.unlink(&mut map, key);
             }
             drop(map);
@@ -326,7 +328,6 @@ impl StreamCache {
                     bytes: 0,
                     done: false,
                     last_used: clock,
-                    scoped: declared,
                     owner: owner.cloned(),
                 },
             );
@@ -347,7 +348,7 @@ impl StreamCache {
         // Called from `StreamDemand::drop`, which must not panic; every
         // update of the map leaves it valid.
         let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        if map.withdraw(key, n) == 0 && map.entries.get(&key).is_some_and(|e| e.scoped) {
+        if map.withdraw(key, n) == 0 && map.entries.get(&key).is_some_and(|e| e.owner.is_some()) {
             self.unlink(&mut map, key);
         }
     }
@@ -466,8 +467,8 @@ impl StreamCache {
 }
 
 /// The declared consumers of one sweep: every acquire through it counts
-/// against the demand [`StreamCache::declare`] registered. Dropping it
-/// gives back whatever was never acquired.
+/// against the demand [`StreamCache::declare`] registered, and so does
+/// every [`StreamDemand::forgo`]. Dropping it gives back whatever is left.
 pub struct StreamDemand<'a> {
     cache: &'a StreamCache,
     /// Declared consumers per key that have not acquired through this
@@ -478,22 +479,38 @@ pub struct StreamDemand<'a> {
 
 impl<'a> StreamDemand<'a> {
     /// [`StreamCache::acquire`] as one of this guard's declared
-    /// consumers of `key`; a key with no declared consumer left acquires
-    /// undeclared. Either way, published bytes count toward the guard's
+    /// consumers of `key`; published bytes count toward the guard's
     /// [`RetainedBytes`].
+    ///
+    /// # Panics
+    ///
+    /// If `key` has no declared consumer left: the guard would otherwise
+    /// retain a stream nobody declared.
     pub fn acquire(&self, key: StreamKey, budget_bytes: u64) -> StreamRole<'a> {
-        let declared = {
-            let mut unused = self.unused.lock().expect("stream demand poisoned");
-            match unused.get_mut(&key) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    true
-                }
-                _ => false,
-            }
-        };
+        self.take(key);
         self.cache
-            .acquire_as(key, budget_bytes, declared, Some(&self.retained))
+            .acquire_as(key, budget_bytes, Some(&self.retained))
+    }
+
+    /// Withdraw one declared consumer of `key` that will never acquire
+    /// it (its cell was answered elsewhere); a stream published for
+    /// declared consumers alone goes with the last of them.
+    ///
+    /// # Panics
+    ///
+    /// If `key` has no declared consumer left.
+    pub fn forgo(&self, key: StreamKey) {
+        self.take(key);
+        self.cache.release(key, 1);
+    }
+
+    /// Count one of this guard's declared consumers of `key` as served.
+    fn take(&self, key: StreamKey) {
+        let mut unused = self.unused.lock().expect("stream demand poisoned");
+        match unused.get_mut(&key) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => panic!("stream {key:?} has no declared consumer left"),
+        }
     }
 }
 
@@ -872,8 +889,8 @@ mod tests {
         let key = (9, 1);
         let retained = Arc::new(RetainedBytes::default());
         let demand = cache.declare([key; 4], Arc::clone(&retained));
-        // Two consumers acquire; the other two were answered elsewhere
-        // (run-cache hits) and never will.
+        // Two consumers acquire; the other two never will (the sweep
+        // unwound before their cells ran).
         drain(PublishingSource::new(
             gen(500, 2),
             produce(demand.acquire(key, u64::MAX)),
@@ -896,21 +913,57 @@ mod tests {
     }
 
     #[test]
+    fn forgone_demand_leaves_with_the_last_real_consumer() {
+        let cache = StreamCache::new();
+        let key = (13, 1);
+        let retained = Arc::new(RetainedBytes::default());
+        let demand = cache.declare([key; 4], Arc::clone(&retained));
+        // One consumer was answered by a run cache before anyone acquired.
+        demand.forgo(key);
+        let produced = drain(PublishingSource::new(
+            gen(500, 6),
+            produce(demand.acquire(key, u64::MAX)),
+        ));
+        assert_eq!(cache.len(), 1, "two declared consumers still pending");
+        assert!(retained.current() > 0);
+        drain(subscribe(demand.acquire(key, u64::MAX)));
+        assert_eq!(cache.len(), 1);
+        // The last pending consumer is answered elsewhere too: the stream
+        // goes now, not when the guard drops.
+        demand.forgo(key);
+        assert!(cache.is_empty());
+        assert_eq!((cache.resident_bytes(), retained.current()), (0, 0));
+        assert_eq!(retained.peak(), produced.iter().map(chunk_bytes).sum());
+        // A sole real consumer among forgone ones publishes nothing.
+        let other = (13, 2);
+        let demand = cache.declare([other; 3], Arc::clone(&retained));
+        demand.forgo(other);
+        demand.forgo(other);
+        let publisher = produce(demand.acquire(other, u64::MAX));
+        assert!(!publisher.is_shared());
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "no declared consumer left")]
+    fn guard_rejects_keys_it_did_not_declare() {
+        let cache = StreamCache::new();
+        let demand = cache.declare([(14, 1)], Arc::new(RetainedBytes::default()));
+        drop(demand.acquire((14, 1), u64::MAX));
+        drop(demand.acquire((14, 1), u64::MAX));
+    }
+
+    #[test]
     fn undeclared_acquire_keeps_lru_retention() {
         let cache = StreamCache::new();
-        let retained = Arc::new(RetainedBytes::default());
-        // A guard that declared nothing acquires undeclared.
-        let demand = cache.declare([], Arc::clone(&retained));
         let produced = drain(PublishingSource::new(
             gen(700, 4),
-            produce(demand.acquire((10, 1), u64::MAX)),
+            produce(cache.acquire((10, 1), u64::MAX)),
         ));
         let bytes: u64 = produced.iter().map(chunk_bytes).sum();
-        drop(demand);
-        assert_eq!(cache.len(), 1, "undeclared streams outlive the guard");
+        assert_eq!(cache.len(), 1, "no consumer declared: the stream stays");
         assert_eq!(cache.resident_bytes(), bytes);
-        assert_eq!(retained.current(), bytes);
-        // Plain acquires subscribe to it, and publish for later ones.
+        // Later acquires subscribe to it, and publish for later ones.
         drain(subscribe(cache.acquire((10, 1), u64::MAX)));
         drain(subscribe(cache.acquire((10, 1), u64::MAX)));
         drain(PublishingSource::new(
@@ -918,15 +971,38 @@ mod tests {
             produce(cache.acquire((10, 2), u64::MAX)),
         ));
         assert_eq!(cache.len(), 2);
-        assert_eq!(retained.current(), bytes, "plain acquires have no owner");
+        assert_eq!(cache.resident_bytes(), 2 * bytes);
         // Only the budget makes them go, least recently used first.
         drain(PublishingSource::new(
             gen(700, 6),
             produce(cache.acquire((10, 3), 2 * bytes)),
         ));
         assert_eq!(cache.len(), 2);
-        assert_eq!(retained.current(), 0, "(10, 1) was the LRU victim");
-        produce(cache.acquire((10, 1), u64::MAX));
+        drain(subscribe(cache.acquire((10, 2), u64::MAX)));
+        produce(cache.acquire((10, 1), u64::MAX)); // the LRU victim
+    }
+
+    #[test]
+    fn in_progress_stream_stays_pinned_under_eviction() {
+        let cache = StreamCache::new();
+        let key = (15, 1);
+        let mut publisher = produce(cache.acquire(key, 1));
+        let chunk = gen(300, 2).next_chunk().expect("chunk");
+        assert!(chunk_bytes(&chunk) > 1);
+        // One chunk already exceeds the one-byte budget, but the stream
+        // is still being generated: nothing may evict it.
+        publisher.publish(&chunk);
+        assert_eq!(cache.len(), 1, "in-progress stream stays pinned");
+        assert_eq!(cache.resident_bytes(), chunk_bytes(&chunk));
+        let subscriber = subscribe(cache.acquire(key, 1));
+        publisher.finish();
+        // Once complete it is evictable, and the budget evicts it; its
+        // subscriber still reads every chunk.
+        assert!(cache.is_empty());
+        assert_eq!(cache.resident_bytes(), 0);
+        let read = drain(subscriber);
+        assert_eq!(read.len(), 1);
+        assert!(Arc::ptr_eq(&read[0], &chunk));
     }
 
     #[test]

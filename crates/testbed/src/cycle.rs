@@ -43,7 +43,7 @@ use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
 use pcs_pktgen::{
     Chunk, ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
-    StreamCache, StreamDemand, StreamRole, TimedPacket, TxModel,
+    StreamCache, StreamDemand, StreamKey, StreamRole, TimedPacket, TxModel,
 };
 use pcs_trace::{SutTrace, TraceSink, TraceSpec};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
@@ -334,19 +334,40 @@ type ChunkReply = (ChunkedGenerator, Option<Chunk>);
 
 /// How a sweep's cells obtain their packet streams.
 struct SweepStreams {
-    /// The cells' declared consumption of each stream.
-    demand: StreamDemand<'static>,
+    /// The cells' declared consumption of each stream; `None` acquires
+    /// undeclared, with LRU retention (cell loops in tests).
+    demand: Option<StreamDemand<'static>>,
     /// The sweep's publisher thread, when a stream has several consumers.
     ///
-    /// The system allocator keeps an arena per thread and reuses freed
-    /// memory only within its arena. A published stream stays resident
-    /// for its later subscribers while the stream before it is still
-    /// being freed by its last consumer; generated on whichever worker
-    /// happened to claim their first cells, the two would sit in
-    /// different arenas and both stay resident to the end. Generating
-    /// every published stream of a sweep on one thread lets each reuse
-    /// what its predecessor gives back.
+    /// glibc malloc keeps an arena per thread and reuses freed memory
+    /// only within the arena that allocated it. A published stream stays
+    /// resident for its later subscribers while the stream before it is
+    /// still being freed by its last consumer; generated on whichever
+    /// worker happened to claim their first cells, the two usually sit in
+    /// different arenas and the first one's pages stay resident (standard
+    /// fig6.4b: 64 MiB peak RSS in 8 of 10 runs, 38 MiB in 2, against a
+    /// steady 34 MiB with this thread). Generating every published stream
+    /// of a sweep on one thread lets each reuse what its predecessor
+    /// gives back.
     publisher: Option<Sender<ChunkRequest>>,
+}
+
+impl SweepStreams {
+    /// Acquire `key` as one of the sweep's declared consumers.
+    fn acquire(&self, key: StreamKey, budget: u64) -> StreamRole<'static> {
+        match &self.demand {
+            Some(demand) => demand.acquire(key, budget),
+            None => StreamCache::global().acquire(key, budget),
+        }
+    }
+
+    /// Withdraw a declared consumer of `key` whose cell was answered by
+    /// the run cache, so the stream leaves with its last real consumer.
+    fn forgo(&self, key: StreamKey) {
+        if let Some(demand) = &self.demand {
+            demand.forgo(key);
+        }
+    }
 }
 
 /// Serve chunk requests on a thread of `scope` until every sender is
@@ -407,6 +428,12 @@ fn stream_budget(exec: &ExecConfig) -> u64 {
         .unwrap_or(bytes)
 }
 
+/// Whether a cell over `suts` acquires its stream from the stream cache
+/// (empty SUT sets simulate nothing and read no stream).
+fn reads_cached_stream(suts: &[Sut], exec: &ExecConfig) -> bool {
+    exec.pipeline.is_streaming() && !suts.is_empty() && stream_budget(exec) > 0
+}
+
 /// The cell's chunk source: the generator, optionally teed through or
 /// replaced by the content-addressed [`StreamCache`].
 ///
@@ -434,10 +461,7 @@ fn cell_source(
         return Box::new(generate());
     }
     let probe = stats.profiling().then(Instant::now);
-    match streams
-        .demand
-        .acquire(stream_key(cfg, rate, repeat), budget)
-    {
+    match streams.acquire(stream_key(cfg, rate, repeat), budget) {
         StreamRole::Produce(publisher) => {
             stats.record_stream_generated();
             match &streams.publisher {
@@ -566,6 +590,9 @@ fn run_cell_cached(
                     .note_run_cache_hit(t0.elapsed().as_nanos() as u64);
             }
             exec.stats.record_cached();
+            if reads_cached_stream(suts, exec) {
+                streams.forgo(stream_key(cfg, rate, repeat));
+            }
             return hit;
         }
     }
@@ -718,10 +745,10 @@ pub fn run_sweep_exec(
 /// sweep declares them to the [`StreamCache`] before it starts: the
 /// first generates the stream (on the sweep's publisher thread), the
 /// rest subscribe, and the stream leaves the cache as soon as the last
-/// has it (or when the sweep returns, for cells the run cache
-/// answered). Cells are memoized in the process-global [`RunCache`];
-/// `exec.stats` counts how many were simulated vs served from cache.
-/// Results are bit-identical for any `exec.jobs` and equal to one
+/// has it (a cell the run cache answers withdraws its demand). Cells
+/// are memoized in the process-global [`RunCache`]; `exec.stats` counts
+/// how many were simulated vs served from cache. Results are
+/// bit-identical for any `exec.jobs` and equal to one
 /// [`run_sweep_exec`] per set.
 pub fn run_sweep_sets<S: AsRef<[Sut]> + Sync>(
     sets: &[S],
@@ -734,12 +761,10 @@ pub fn run_sweep_sets<S: AsRef<[Sut]> + Sync>(
         .iter()
         .flat_map(|&rate| (0..cfg.repeats).map(move |rep| (rate, rep)))
         .collect();
-    // Empty sets simulate nothing and never acquire a stream.
-    let consumers = if exec.pipeline.is_streaming() && stream_budget(exec) > 0 {
-        sets.iter().filter(|suts| !suts.as_ref().is_empty()).count()
-    } else {
-        0
-    };
+    let consumers = sets
+        .iter()
+        .filter(|suts| reads_cached_stream(suts.as_ref(), exec))
+        .count();
     let demand = StreamCache::global().declare(
         points
             .iter()
@@ -751,10 +776,11 @@ pub fn run_sweep_sets<S: AsRef<[Sut]> + Sync>(
         .flat_map(|&(rate, rep)| sets.iter().map(move |suts| (rate, rep, suts.as_ref())))
         .collect();
     let results: Vec<CellResult> = std::thread::scope(|scope| {
-        // Dropped when the cells are done: gives back the demand cells
-        // the run cache answered, and ends the publisher thread.
+        // Dropped when the cells are done: gives back any demand left
+        // unacquired (a cell that panicked), and ends the publisher
+        // thread.
         let streams = SweepStreams {
-            demand,
+            demand: Some(demand),
             publisher: (consumers > 1).then(|| spawn_publisher(scope)),
         };
         parallel_ordered(cells, exec.jobs, |_, (rate, repeat, suts)| {
@@ -796,10 +822,10 @@ mod tests {
     use crate::sched::PipelineConfig;
     use pcs_oskernel::BufferConfig;
 
-    /// Acquire with no declared demand (LRU retention), charged to `exec`.
-    fn undeclared(exec: &ExecConfig) -> SweepStreams {
+    /// Acquire with no declared demand (LRU retention).
+    fn undeclared() -> SweepStreams {
         SweepStreams {
-            demand: StreamCache::global().declare([], Arc::clone(exec.stats.stream_retained())),
+            demand: None,
             publisher: None,
         }
     }
@@ -902,7 +928,7 @@ mod tests {
         let exec = ExecConfig::serial();
         for rate in [Some(250.0), None] {
             let materialized = exec.clone().with_pipeline(PipelineConfig::materialized());
-            let reference = run_cell(&suts, &cfg, rate, 0, &materialized, &undeclared(&exec));
+            let reference = run_cell(&suts, &cfg, rate, 0, &materialized, &undeclared());
             for chunk_packets in [1usize, 1009, 4096] {
                 for depth_chunks in [1usize, 4] {
                     let pipeline = PipelineConfig {
@@ -916,7 +942,7 @@ mod tests {
                         rate,
                         0,
                         &exec.clone().with_pipeline(pipeline),
-                        &undeclared(&exec),
+                        &undeclared(),
                     );
                     assert_eq!(
                         reference, streamed,
@@ -948,8 +974,20 @@ mod tests {
             },
         ];
         let exec = ExecConfig::serial();
-        let streams = undeclared(&exec);
-        for rate in [Some(250.0), None] {
+        let rates = [Some(250.0), None];
+        // Two cached runs per rate below read each stream.
+        let streams = SweepStreams {
+            demand: Some(
+                StreamCache::global().declare(
+                    rates
+                        .iter()
+                        .flat_map(|&rate| [stream_key(&cfg, rate, 0); 2]),
+                    Arc::clone(exec.stats.stream_retained()),
+                ),
+            ),
+            publisher: None,
+        };
+        for rate in rates {
             let off = PipelineConfig::streaming().with_stream_cache(0);
             let reference = run_cell(
                 &suts,
@@ -1027,6 +1065,35 @@ mod tests {
     }
 
     #[test]
+    fn run_cache_hits_withdraw_their_stream_demand() {
+        // Every other consumer of each stream is answered by the run
+        // cache, so the one cell that runs has nobody to publish for.
+        // Serial, so each point's hit comes before its miss.
+        let mut cfg = CycleConfig::mwn(8_317, 5150);
+        cfg.repeats = 2;
+        let rates = [Some(200.0), None];
+        let set_a = vec![Sut {
+            spec: MachineSpec::swan(),
+            sim: SimConfig::default(),
+        }];
+        let set_b = vec![Sut {
+            spec: MachineSpec::moorhen(),
+            sim: SimConfig::default(),
+        }];
+        run_sweep_exec(&set_a, &cfg, &rates, &ExecConfig::serial());
+        let exec = ExecConfig::serial();
+        run_sweep_sets(&[set_a, set_b], &cfg, &rates, &exec);
+        assert_eq!(exec.stats.cells_cached(), 4);
+        assert_eq!(exec.stats.streams_generated(), 4);
+        assert_eq!(exec.stats.streams_shared(), 0);
+        assert_eq!(
+            exec.stats.peak_stream_bytes(),
+            0,
+            "no stream is published for consumers the run cache answered"
+        );
+    }
+
+    #[test]
     fn empty_run_reports_zero_rate() {
         let cfg = CycleConfig::fixed(0, 512, 1);
         let (stream, achieved) = generate_run(&cfg, Some(100.0), 0);
@@ -1042,7 +1109,7 @@ mod tests {
             Some(100.0),
             0,
             &exec,
-            &undeclared(&exec),
+            &undeclared(),
         );
         assert_eq!(streamed.achieved_mbps, 0.0);
         assert_eq!(streamed.suts.len(), 1);
@@ -1066,7 +1133,7 @@ mod tests {
         ];
         let collector = Arc::new(TraceCollector::new(TraceSpec::default()));
         let exec = ExecConfig::serial().with_trace(Arc::clone(&collector));
-        let traced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &exec, &undeclared(&exec));
+        let traced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &exec, &undeclared());
         assert_eq!(collector.len(), 1);
         let cell = &collector.cells()[0];
         assert_eq!(cell.label, "rate=300.0 rep=0");
@@ -1082,28 +1149,14 @@ mod tests {
         // The same cell untraced must distill identically (the sink only
         // observes) and be served from the run cache.
         let untraced_exec = ExecConfig::serial();
-        let untraced = run_cell_cached(
-            &suts,
-            &cfg,
-            Some(300.0),
-            0,
-            &untraced_exec,
-            &undeclared(&untraced_exec),
-        );
+        let untraced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &untraced_exec, &undeclared());
         assert_eq!(format!("{traced:?}"), format!("{untraced:?}"));
         assert_eq!(untraced_exec.stats.cells_cached(), 1);
         // A fresh collector re-runs the cached cell to reproduce its
         // trace (the memo table stores distilled numbers only).
         let fresh = Arc::new(TraceCollector::new(TraceSpec::default()));
         let retrace_exec = ExecConfig::serial().with_trace(Arc::clone(&fresh));
-        let retraced = run_cell_cached(
-            &suts,
-            &cfg,
-            Some(300.0),
-            0,
-            &retrace_exec,
-            &undeclared(&retrace_exec),
-        );
+        let retraced = run_cell_cached(&suts, &cfg, Some(300.0), 0, &retrace_exec, &undeclared());
         assert_eq!(retrace_exec.stats.cells_run(), 1);
         assert_eq!(retrace_exec.stats.cells_cached(), 0);
         assert_eq!(format!("{traced:?}"), format!("{retraced:?}"));
