@@ -141,9 +141,40 @@ fn bench_machine_sim(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lsf_stack(c: &mut Criterion) {
+    use pcs_oskernel::{LsfSocket, LsfState};
+    let mut g = c.benchmark_group("lsf_stack");
+    // Eight capture sockets (Fig. 6.9) over one shared pool: each
+    // 1024-packet burst is delivered to all of them, then every socket
+    // drains its queue in 64-packet recvfrom chunks.
+    let pkts: Vec<_> = (0..1024u64)
+        .map(|i| sample_packet(i, 64 + (i as u32 * 37) % 1450))
+        .collect();
+    g.throughput(Throughput::Elements(pkts.len() as u64));
+    g.bench_function("deliver_dequeue_8_sockets", |b| {
+        let sockets = (0..8)
+            .map(|_| LsfSocket::new(64 << 20, 65_535, None, false))
+            .collect();
+        let mut l = LsfState::new(sockets, 64 << 20);
+        let mut out = Vec::with_capacity(64);
+        b.iter(|| {
+            for (i, p) in pkts.iter().enumerate() {
+                black_box(l.deliver(p, i as u64));
+            }
+            for s in 0..8 {
+                while l.sockets[s].readable() {
+                    out.clear();
+                    black_box(l.dequeue_into(s, 64, &mut out));
+                }
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bpf, bench_pktgen, bench_zdeflate, bench_wire, bench_machine_sim
+    targets = bench_bpf, bench_pktgen, bench_zdeflate, bench_wire, bench_machine_sim, bench_lsf_stack
 );
 criterion_main!(benches);

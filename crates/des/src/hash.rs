@@ -2,8 +2,8 @@
 //!
 //! `std`'s default `HashMap` hasher (SipHash-1-3) is keyed with a random
 //! seed and costs tens of nanoseconds per small key — both properties
-//! are wrong for the hot path: the Linux packet-pool refcount map does
-//! three hash operations per packet, and the simulator must behave
+//! are wrong for the hot path: the kernel filter's verdict cache does
+//! a lookup per packet and consumer, and the simulator must behave
 //! identically from run to run. [`FastHash`] is an FxHash-style
 //! multiply-rotate-xor mixer: fixed constants, no per-process seed, a
 //! handful of arithmetic instructions per word.

@@ -352,6 +352,30 @@ fn skb_truesize(frame_len: u32) -> u64 {
     data + 244
 }
 
+/// One stored packet on the Linux stack: the skb that every socket
+/// queuing it points at (§2.1.2). The softirq creates it once; each
+/// holder's dequeue drops one reference.
+#[derive(Debug)]
+struct SkbRecord {
+    seq: u64,
+    gen_ns: u64,
+    recv_ns: u64,
+    frame_len: u32,
+    /// Sockets whose queue still holds this record.
+    holders: u16,
+    /// The non-mmap holders among them: the record keeps its pool
+    /// charge while any remain.
+    pool_refs: u16,
+}
+
+/// A socket's queue entry: the slot of its [`SkbRecord`] in
+/// [`LsfState`]'s FIFO and the bytes this socket captures of it.
+#[derive(Debug, Clone, Copy)]
+struct SkbRef {
+    slot: u32,
+    caplen: u32,
+}
+
 /// One PF_PACKET socket (§2.1.2, Fig. 2.2) or its mmap-ring variant.
 #[derive(Debug)]
 pub struct LsfSocket {
@@ -361,7 +385,7 @@ pub struct LsfSocket {
     rmem: u64,
     /// Fault-injected capacity scale (1000 = full size).
     capacity_permille: u32,
-    queue: VecDeque<CapturedPacket>,
+    queue: VecDeque<SkbRef>,
     queue_bytes: u64,
     /// mmap variant: ring capacity replaces the rmem accounting and the
     /// kernel copies `caplen` bytes instead of queuing a reference.
@@ -408,38 +432,11 @@ impl LsfSocket {
         self.stats.kernel_residue = self.queue.len() as u64;
     }
 
-    /// Dequeue up to `max` packets (the application's recvfrom loop /
-    /// ring scan). Returns packets and the bytes that will be copied to
-    /// user space (0 for mmap: the copy happened on the kernel side).
-    pub fn dequeue(&mut self, max: usize) -> (Vec<CapturedPacket>, u64) {
-        let mut out = Vec::with_capacity(self.queue.len().min(max));
-        let copy_bytes = self.dequeue_into(max, &mut out);
-        (out, copy_bytes)
-    }
-
-    /// Allocation-free `dequeue`: appends up to `max` packets to `out`
-    /// (a pooled buffer) and returns the bytes that will be copied to
-    /// user space.
-    pub fn dequeue_into(&mut self, max: usize, out: &mut Vec<CapturedPacket>) -> u64 {
-        let n = self.queue.len().min(max);
-        let mut copy_bytes = 0u64;
-        for _ in 0..n {
-            let p = self.queue.pop_front().expect("len checked");
-            self.queue_bytes -= self.charge_of(&p);
-            if !self.mmap {
-                copy_bytes += p.caplen as u64;
-            }
-            out.push(p);
-        }
-        self.stats.delivered += n as u64;
-        copy_bytes
-    }
-
-    fn charge_of(&self, p: &CapturedPacket) -> u64 {
+    fn charge_of(&self, caplen: u32, frame_len: u32) -> u64 {
         if self.mmap {
-            (p.caplen as u64 + 32 + 15) & !15
+            (caplen as u64 + 32 + 15) & !15
         } else {
-            skb_truesize(p.frame_len)
+            skb_truesize(frame_len)
         }
     }
 }
@@ -450,6 +447,11 @@ impl LsfSocket {
 /// memory. If any application does not release the claim for a packet
 /// this packet is kept forever, blocking kernel memory. Once the kernel
 /// memory buffer is full, every further incoming packet will be dropped."
+///
+/// A stored packet is one [`SkbRecord`] in a FIFO shared by all
+/// sockets; each socket queues 8-byte [`SkbRef`]s into it. Records
+/// leave the front of the FIFO once no socket holds them, so the FIFO
+/// spans from the oldest packet still queued anywhere to the newest.
 #[derive(Debug)]
 pub struct LsfState {
     /// The sockets (one per capture application).
@@ -459,11 +461,12 @@ pub struct LsfState {
     /// Fault-injected capacity scale (1000 = full size).
     capacity_permille: u32,
     pool_bytes: u64,
-    /// seq → (remaining refs, pooled truesize) for refcounted packets.
-    /// Three keyed operations per packet on the softirq path, so the
-    /// map uses the deterministic [`FastHash`] (iteration order is
-    /// never observed — only `get_mut`/`insert`/`remove` by seq).
-    refs: HashMap<u64, (u32, u64), FastHash>,
+    /// Stored packets in arrival order, from the oldest one a socket
+    /// may still hold.
+    records: VecDeque<SkbRecord>,
+    /// Slot of `records[0]`. Slots number every record ever stored,
+    /// wrapping at 2³², so a slot stays valid while its record lives.
+    base: u32,
     /// Per-call delivery scratch, reused so the per-packet softirq path
     /// never allocates (DESIGN.md §15).
     outcomes: Vec<DeliverOutcome>,
@@ -480,7 +483,8 @@ impl LsfState {
             pool_capacity,
             capacity_permille: 1000,
             pool_bytes: 0,
-            refs: HashMap::default(),
+            records: VecDeque::new(),
+            base: 0,
             outcomes: Vec::new(),
             accepts: Vec::new(),
         }
@@ -539,74 +543,110 @@ impl LsfState {
         let pool_ok = non_mmap_accepts == 0
             || self.pool_bytes + truesize
                 <= scaled_capacity(self.pool_capacity, self.capacity_permille);
-        let mut refs = 0u32;
+        assert!(
+            self.sockets.len() <= u16::MAX as usize,
+            "an skb record counts at most 65535 holders"
+        );
+        // The record this packet becomes if any socket stores it.
+        let span = u32::try_from(self.records.len()).expect("the FIFO spans < 2^32 records");
+        let slot = self.base.wrapping_add(span);
+        let (mut holders, mut pool_refs) = (0u16, 0u16);
         for (i, s) in self.sockets.iter_mut().enumerate() {
             let caplen = match accepts[i] {
                 Some(c) => c,
                 None => continue,
             };
-            let cap = CapturedPacket {
-                seq: pkt.seq,
-                gen_ns: pkt.gen_ns,
-                recv_ns,
-                caplen,
-                frame_len: pkt.frame_len,
-            };
-            if s.mmap {
-                // mmap ring: bounded by its own ring bytes; kernel copies
-                // caplen into the ring.
-                let charge = s.charge_of(&cap);
-                if s.queue_bytes + charge <= scaled_capacity(s.rmem, s.capacity_permille) {
-                    s.queue_bytes += charge;
-                    s.queue.push_back(cap);
-                    outcomes[i].copied_bytes = caplen;
-                    outcomes[i].stored = true;
-                } else {
-                    s.stats.dropped_buffer += 1;
-                    outcomes[i].drop = DropKind::Buffer;
-                }
-                continue;
-            }
-            if !pool_ok {
+            if !s.mmap && !pool_ok {
                 s.stats.dropped_pool += 1;
                 outcomes[i].drop = DropKind::Pool;
                 continue;
             }
-            let charge = skb_truesize(pkt.frame_len);
+            // mmap ring: bounded by its own ring bytes; the kernel copies
+            // caplen into the ring. Otherwise the socket queues a
+            // reference charged at the skb's truesize against its rmem.
+            let charge = s.charge_of(caplen, pkt.frame_len);
             if s.queue_bytes + charge <= scaled_capacity(s.rmem, s.capacity_permille) {
                 s.queue_bytes += charge;
-                s.queue.push_back(cap);
+                s.queue.push_back(SkbRef { slot, caplen });
                 outcomes[i].stored = true;
-                refs += 1;
+                holders += 1;
+                if s.mmap {
+                    outcomes[i].copied_bytes = caplen;
+                } else {
+                    pool_refs += 1;
+                }
             } else {
                 s.stats.dropped_buffer += 1;
                 outcomes[i].drop = DropKind::Buffer;
             }
         }
-        if refs > 0 {
-            self.pool_bytes += truesize;
-            self.refs.insert(pkt.seq, (refs, truesize));
+        if holders > 0 {
+            if pool_refs > 0 {
+                self.pool_bytes += truesize;
+            }
+            self.records.push_back(SkbRecord {
+                seq: pkt.seq,
+                gen_ns: pkt.gen_ns,
+                recv_ns,
+                frame_len: pkt.frame_len,
+                holders,
+                pool_refs,
+            });
         }
         &self.outcomes
     }
 
-    /// Release one reference per packet dequeued by a (non-mmap) socket.
-    pub fn release(&mut self, seqs: &[u64]) {
-        for &seq in seqs {
-            self.release_seq(seq);
-        }
+    /// Dequeue up to `max` packets from socket `socket` (the
+    /// application's recvfrom loop / ring scan). Returns packets and the
+    /// bytes that will be copied to user space (0 for mmap: the copy
+    /// happened on the kernel side).
+    pub fn dequeue(&mut self, socket: usize, max: usize) -> (Vec<CapturedPacket>, u64) {
+        let mut out = Vec::with_capacity(self.sockets[socket].queue.len().min(max));
+        let copy_bytes = self.dequeue_into(socket, max, &mut out);
+        (out, copy_bytes)
     }
 
-    /// Release a single packet reference (the allocation-free variant of
-    /// [`LsfState::release`] — no seq vector needed).
-    pub fn release_seq(&mut self, seq: u64) {
-        if let Some((refs, truesize)) = self.refs.get_mut(&seq) {
-            *refs -= 1;
-            if *refs == 0 {
-                self.pool_bytes -= *truesize;
-                self.refs.remove(&seq);
+    /// Allocation-free [`LsfState::dequeue`]: appends up to `max`
+    /// packets to `out` (a pooled buffer) and returns the bytes that
+    /// will be copied to user space. Each packet drops the socket's
+    /// reference to its record; the pool charge goes with the last
+    /// non-mmap reference, and records no socket holds leave the front
+    /// of the FIFO.
+    pub fn dequeue_into(
+        &mut self,
+        socket: usize,
+        max: usize,
+        out: &mut Vec<CapturedPacket>,
+    ) -> u64 {
+        let s = &mut self.sockets[socket];
+        let n = s.queue.len().min(max);
+        let mut copy_bytes = 0u64;
+        for _ in 0..n {
+            let h = s.queue.pop_front().expect("len checked");
+            let rec = &mut self.records[h.slot.wrapping_sub(self.base) as usize];
+            s.queue_bytes -= s.charge_of(h.caplen, rec.frame_len);
+            out.push(CapturedPacket {
+                seq: rec.seq,
+                gen_ns: rec.gen_ns,
+                recv_ns: rec.recv_ns,
+                caplen: h.caplen,
+                frame_len: rec.frame_len,
+            });
+            if !s.mmap {
+                copy_bytes += h.caplen as u64;
+                rec.pool_refs -= 1;
+                if rec.pool_refs == 0 {
+                    self.pool_bytes -= skb_truesize(rec.frame_len);
+                }
             }
+            rec.holders -= 1;
         }
+        s.stats.delivered += n as u64;
+        while self.records.front().is_some_and(|r| r.holders == 0) {
+            self.records.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+        copy_bytes
     }
 
     /// Current pool usage in bytes.
@@ -619,6 +659,7 @@ impl LsfState {
 mod tests {
     use super::*;
     use pcs_wire::MacAddr;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn pkt(seq: u64, len: u32) -> SimPacket {
@@ -712,6 +753,11 @@ mod tests {
 
     // ---- LSF ----
 
+    /// Records that some socket still holds.
+    fn live(l: &LsfState) -> usize {
+        l.records.iter().filter(|r| r.holders > 0).count()
+    }
+
     fn lsf(n: usize, rmem: u64, pool: u64) -> LsfState {
         let sockets = (0..n)
             .map(|_| LsfSocket::new(rmem, 65_535, None, false))
@@ -742,14 +788,12 @@ mod tests {
         assert_eq!(l.sockets[0].stats.dropped_pool, 1);
         assert_eq!(l.sockets[1].stats.dropped_pool, 1);
         // One socket dequeues: pool still held by the other's reference.
-        let (pkts, _) = l.sockets[0].dequeue(10);
-        l.release(&pkts.iter().map(|p| p.seq).collect::<Vec<_>>());
+        l.dequeue(0, 10);
         assert_eq!(l.pool_bytes(), skb_truesize(500));
         let o = l.deliver(&pkt(2, 500), 0);
         assert!(o.iter().all(|x| !x.stored));
         // Second socket dequeues: pool frees, delivery works again.
-        let (pkts, _) = l.sockets[1].dequeue(10);
-        l.release(&pkts.iter().map(|p| p.seq).collect::<Vec<_>>());
+        l.dequeue(1, 10);
         assert_eq!(l.pool_bytes(), 0);
         assert!(l.deliver(&pkt(3, 500), 0).iter().all(|x| x.stored));
     }
@@ -775,10 +819,9 @@ mod tests {
         for i in 0..4 {
             l.deliver(&pkt(i, 200), 0);
         }
-        let (pkts, bytes) = l.sockets[0].dequeue(2);
+        let (pkts, bytes) = l.dequeue(0, 2);
         assert_eq!(pkts.len(), 2);
         assert_eq!(bytes, 400);
-        l.release(&pkts.iter().map(|p| p.seq).collect::<Vec<_>>());
         assert_eq!(l.pool_bytes(), 2 * skb_truesize(200));
     }
 
@@ -791,7 +834,7 @@ mod tests {
         assert!(o[0].stored);
         assert_eq!(o[0].copied_bytes, 500);
         assert_eq!(l.pool_bytes(), 0);
-        let (pkts, user_copy) = l.sockets[0].dequeue(10);
+        let (pkts, user_copy) = l.dequeue(0, 10);
         assert_eq!(pkts.len(), 1);
         assert_eq!(user_copy, 0, "mmap read copies nothing");
     }
@@ -805,5 +848,174 @@ mod tests {
         assert!(l.deliver(&pkt(1, 500), 0)[0].stored);
         assert!(!l.deliver(&pkt(2, 500), 0)[0].stored);
         assert_eq!(l.sockets[0].stats.dropped_buffer, 1);
+    }
+
+    #[test]
+    fn duplicate_seq_releases_its_pool_charge() {
+        // Two stored packets sharing a seq are two skbs: each keeps its
+        // own pool charge until both sockets have read it.
+        let mut l = lsf(2, 1 << 20, 1 << 20);
+        assert!(l.deliver(&pkt(5, 600), 0).iter().all(|o| o.stored));
+        assert!(l.deliver(&pkt(5, 600), 1).iter().all(|o| o.stored));
+        assert_eq!(l.pool_bytes(), 2 * skb_truesize(600));
+        let (a, _) = l.dequeue(0, 10);
+        let (b, _) = l.dequeue(1, 10);
+        assert_eq!(a, b);
+        assert_eq!(a.iter().map(|p| p.recv_ns).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(l.pool_bytes(), 0);
+        assert!(l.records.is_empty());
+    }
+
+    #[test]
+    fn records_leave_once_no_socket_holds_them() {
+        // A record stays while any socket holds it, and leaves the front
+        // of the FIFO as soon as none does.
+        let sockets = vec![
+            LsfSocket::new(1 << 20, 65_535, None, false),
+            LsfSocket::new(1 << 20, 65_535, None, true),
+        ];
+        let mut l = LsfState::new(sockets, 1 << 20);
+        for i in 0..3 {
+            l.deliver(&pkt(i, 300), i);
+        }
+        assert_eq!((l.records.len(), live(&l)), (3, 3));
+        l.dequeue(0, 2);
+        assert_eq!(
+            l.pool_bytes(),
+            skb_truesize(300),
+            "records 0 and 1 lost their pool charge with their last non-mmap holder"
+        );
+        assert_eq!(
+            (l.records.len(), live(&l)),
+            (3, 3),
+            "the mmap socket still holds all"
+        );
+        l.dequeue(1, 1);
+        assert_eq!((l.records.len(), live(&l)), (2, 2));
+        l.dequeue(1, 10);
+        assert_eq!((l.records.len(), live(&l)), (1, 1));
+        l.dequeue(0, 10);
+        assert_eq!((l.records.len(), live(&l), l.pool_bytes()), (0, 0, 0));
+    }
+
+    /// One step of the LSF invariant proptest.
+    #[derive(Debug, Clone, Copy)]
+    enum LsfOp {
+        /// Deliver a packet of this frame length and seq.
+        Deliver(u32, u64),
+        /// Socket (mod the socket count) dequeues up to this many.
+        Dequeue(usize, usize),
+        /// Fault-injected capacity scale.
+        Capacity(u32),
+    }
+
+    fn arb_op() -> impl Strategy<Value = LsfOp> {
+        prop_oneof![
+            // Few distinct seqs, so duplicates are common.
+            (60u32..1515, 0u64..8).prop_map(|(len, seq)| LsfOp::Deliver(len, seq)),
+            (0usize..8, 1usize..6).prop_map(|(i, n)| LsfOp::Dequeue(i, n)),
+            prop_oneof![Just(1000u32), 0u32..1000].prop_map(LsfOp::Capacity),
+        ]
+    }
+
+    /// What each socket should hold: `(delivery id, packet)` in the
+    /// order it accepted them, plus whether the socket is mmap.
+    struct LsfModel {
+        mmap: Vec<bool>,
+        queues: Vec<VecDeque<(u64, CapturedPacket)>>,
+    }
+
+    impl LsfModel {
+        /// The state's pool, record and live counts agree with the model.
+        fn check(&self, l: &LsfState) -> Result<(), TestCaseError> {
+            // Delivery id → (held by a non-mmap socket, frame length).
+            let mut queued = std::collections::BTreeMap::new();
+            for (q, &mmap) in self.queues.iter().zip(&self.mmap) {
+                for (id, p) in q {
+                    queued.entry(*id).or_insert((false, p.frame_len)).0 |= !mmap;
+                }
+            }
+            let pool: u64 = queued
+                .values()
+                .filter(|(pooled, _)| *pooled)
+                .map(|(_, len)| skb_truesize(*len))
+                .sum();
+            prop_assert_eq!(l.pool_bytes(), pool);
+            prop_assert_eq!(live(l), queued.len());
+            prop_assert_eq!(
+                l.records.iter().filter(|r| r.holders > 0).count(),
+                queued.len()
+            );
+            Ok(())
+        }
+
+        /// Dequeue through the state and compare with the model's FIFO.
+        fn dequeue(&mut self, l: &mut LsfState, i: usize, n: usize) -> Result<(), TestCaseError> {
+            let (got, bytes) = l.dequeue(i, n);
+            let k = n.min(self.queues[i].len());
+            let want: Vec<CapturedPacket> = self.queues[i].drain(..k).map(|(_, p)| p).collect();
+            let copied: u64 = want.iter().map(|p| p.caplen as u64).sum();
+            prop_assert_eq!(bytes, if self.mmap[i] { 0 } else { copied });
+            prop_assert_eq!(got, want);
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// For any interleaving of deliveries, dequeues and capacity
+        /// faults over 1–8 mixed mmap/non-mmap sockets: the pool holds
+        /// exactly the truesize of packets some non-mmap socket still
+        /// queues, one record lives per packet queued anywhere, and every
+        /// socket reads back what it accepted, in order.
+        #[test]
+        fn lsf_shared_records_keep_their_invariants(
+            socks in proptest::collection::vec(
+                (any::<bool>(), prop_oneof![Just(65_535u32), 40u32..1600], 0u64..12_000, any::<bool>()),
+                1..9,
+            ),
+            pool in 0u64..30_000,
+            ops in proptest::collection::vec(arb_op(), 0..200),
+        ) {
+            let sockets = socks
+                .iter()
+                .map(|&(mmap, snaplen, rmem, filtered)| {
+                    let filter = filtered.then(|| pcs_bpf::compile("greater 600", 65_535).unwrap());
+                    LsfSocket::new(rmem, snaplen, filter, mmap)
+                })
+                .collect();
+            let mut l = LsfState::new(sockets, pool);
+            let mut model = LsfModel {
+                mmap: socks.iter().map(|s| s.0).collect(),
+                queues: vec![VecDeque::new(); socks.len()],
+            };
+            for (delivery, op) in (0u64..).zip(ops) {
+                match op {
+                    LsfOp::Deliver(len, seq) => {
+                        let p = pkt(seq, len);
+                        let recv_ns = 1_000 + delivery;
+                        for (i, o) in l.deliver(&p, recv_ns).iter().enumerate() {
+                            if o.stored {
+                                model.queues[i].push_back((delivery, CapturedPacket {
+                                    seq,
+                                    gen_ns: p.gen_ns,
+                                    recv_ns,
+                                    caplen: len.min(socks[i].1),
+                                    frame_len: len,
+                                }));
+                            }
+                        }
+                    }
+                    LsfOp::Dequeue(i, n) => model.dequeue(&mut l, i % socks.len(), n)?,
+                    LsfOp::Capacity(permille) => l.set_capacity_permille(permille),
+                }
+                model.check(&l)?;
+            }
+            for i in 0..socks.len() {
+                model.dequeue(&mut l, i, usize::MAX)?;
+            }
+            model.check(&l)?;
+            prop_assert!(l.records.is_empty());
+            prop_assert_eq!(l.pool_bytes(), 0);
+        }
     }
 }

@@ -136,17 +136,10 @@ impl MachineSim {
         // Pooled chunk scratch (returned to the pool on every exit path).
         let mut pkts = self.sched.pool.captured.get();
         let (copy_bytes, mmap) = match &mut self.stack {
-            Stack::Lsf(l) => {
-                let s = &mut l.sockets[app];
-                let mmap = s.mmap;
-                let bytes = s.dequeue_into(APP_CHUNK, &mut pkts);
-                if !mmap {
-                    for p in pkts.iter() {
-                        l.release_seq(p.seq);
-                    }
-                }
-                (bytes, mmap)
-            }
+            Stack::Lsf(l) => (
+                l.dequeue_into(app, APP_CHUNK, &mut pkts),
+                l.sockets[app].mmap,
+            ),
             Stack::Bpf(_) => unreachable!("linux chunk on BPF stack"),
         };
         if pkts.is_empty() {
