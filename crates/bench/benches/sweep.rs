@@ -1,18 +1,15 @@
 //! Sweep-engine benchmarks: serial vs parallel cell scheduling, the
-//! run-cache hit path, the streaming pipeline vs the materialized
-//! reference, clone-free packet injection, and the content-addressed
-//! stream cache.
+//! run-cache hit path, the streaming pipeline at several chunk sizes,
+//! clone-free packet injection, and the content-addressed stream cache.
 //!
 //! On a multi-core host the `jobs-N` variants should approach N× the
 //! serial cell throughput (cells are independent simulations); the
 //! `warm-cache` variant shows the memoized upper bound. The `pipeline`
 //! group runs the same cold sweep through the chunked splitter broadcast
-//! at several chunk sizes against the materialize-then-fanout baseline —
-//! the streamed variants overlap generation with consumption (and bound
-//! memory), which is where their advantage on multi-core hosts comes
-//! from. The `injection` group isolates the machine-sim ingest path:
-//! per-packet cloning (`MachineSim::run`) vs shared references into
-//! pre-generated chunks (`MachineSim::run_refs`). The `sched_overhead`
+//! at several chunk sizes. The `injection` group isolates the
+//! machine-sim ingest path: cloning every packet into one chunk first
+//! (`MachineSim::run`) vs shared references into pre-generated chunks
+//! (`MachineSim::run_source`). The `sched_overhead`
 //! group pins the event-scheduled pipeline's dispatch cost against the
 //! bare pcs-des event-queue floor on the same arrival chain. The
 //! `stream-cache` group runs one sweep over three SUT sets with sharing
@@ -83,7 +80,6 @@ fn bench_pipeline(c: &mut Criterion) {
     // Stream sharing off throughout: every chunk size must genuinely
     // re-chunk the generator, not subscribe to published chunks.
     let variants = [
-        ("materialized", PipelineConfig::materialized()),
         (
             "chunk-256",
             PipelineConfig::with_chunk(256).with_stream_cache(0),

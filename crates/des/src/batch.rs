@@ -18,8 +18,7 @@
 //! The memo tables ([`ExpMemo`], [`SizeMemo`]) cache pure arithmetic
 //! (EMA smoothing factors, size-keyed per-packet cost sums) keyed by the
 //! exact input bits. Because `f(bits) == f(bits)` on every IEEE-754
-//! platform, a memo hit returns bit-for-bit what recomputation would —
-//! runs with memoization disabled (`PCS_NO_BATCH=1`) are byte-identical.
+//! platform, a memo hit returns bit-for-bit what recomputation would.
 //!
 //! [`BatchStats`]/[`BatchProbe`] mirror the buffer-pool telemetry
 //! ([`crate::PoolStats`]/[`crate::PoolProbe`]): counters describing how
@@ -89,9 +88,8 @@ impl<T> AdmissionCursor<T> {
 /// the bits recomputation would produce. One entry suffices because the
 /// dominant workloads are constant-gap streams: `dt` repeats for
 /// thousands of consecutive packets, then changes once.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExpMemo {
-    enabled: bool,
     primed: bool,
     last_bits: u64,
     last_val: f64,
@@ -100,34 +98,15 @@ pub struct ExpMemo {
 }
 
 impl ExpMemo {
-    /// An empty memo; when `enabled` is false every lookup recomputes
-    /// (the `PCS_NO_BATCH=1` differential-testing path).
-    pub fn new(enabled: bool) -> ExpMemo {
-        ExpMemo {
-            enabled,
-            primed: false,
-            last_bits: 0,
-            last_val: 0.0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Enable or disable memoization (disabling clears the entry).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.primed = false;
-        }
+    /// An empty memo.
+    pub fn new() -> ExpMemo {
+        ExpMemo::default()
     }
 
     /// `compute(x)`, served from the memo when `x` has the same bit
     /// pattern as the previous call.
     #[inline]
     pub fn get(&mut self, x: f64, compute: impl FnOnce(f64) -> f64) -> f64 {
-        if !self.enabled {
-            return compute(x);
-        }
         let bits = x.to_bits();
         if self.primed && bits == self.last_bits {
             self.hits += 1;
@@ -162,40 +141,23 @@ const SIZE_MEMO_CAP: usize = 32;
 /// length). Linear scan over at most [`SIZE_MEMO_CAP`] entries: repeated
 /// keys hit on the first few probes, which beats hashing for the
 /// cardinalities involved.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SizeMemo {
-    enabled: bool,
     entries: Vec<(u64, u64)>,
     hits: u64,
     misses: u64,
 }
 
 impl SizeMemo {
-    /// An empty memo; when `enabled` is false every lookup recomputes.
-    pub fn new(enabled: bool) -> SizeMemo {
-        SizeMemo {
-            enabled,
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Enable or disable memoization (disabling clears the table).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.entries = Vec::new();
-        }
+    /// An empty memo.
+    pub fn new() -> SizeMemo {
+        SizeMemo::default()
     }
 
     /// `compute()`, served from the memo when `key` was seen before.
     /// `compute` must be a pure function of `key` for the run.
     #[inline]
     pub fn get(&mut self, key: u64, compute: impl FnOnce() -> u64) -> u64 {
-        if !self.enabled {
-            return compute();
-        }
         if let Some(&(_, v)) = self.entries.iter().find(|(k, _)| *k == key) {
             self.hits += 1;
             return v;
@@ -262,13 +224,10 @@ impl BatchStats {
 /// Thread-safe aggregation point for [`BatchStats`], mirroring
 /// [`crate::PoolProbe`]: simulations publish their final counters here;
 /// the sweep engine sums probes across cells and the CLI surfaces them
-/// under `--profile`. Deliberately *not* part of any simulation report —
-/// batching describes execution, and reports must stay byte-identical
-/// whether it is on or off.
+/// under `--profile`. Deliberately *not* part of any simulation report:
+/// batching describes execution, not simulated behavior.
 #[derive(Debug, Default)]
 pub struct BatchProbe {
-    sims_batched: AtomicU64,
-    sims_unbatched: AtomicU64,
     runs: AtomicU64,
     coalesced: AtomicU64,
     max_run: AtomicU64,
@@ -284,15 +243,8 @@ impl BatchProbe {
         BatchProbe::default()
     }
 
-    /// Fold one simulation's counters into the probe. `batched` records
-    /// whether the sim ran with macro-batching enabled — the config bit
-    /// the ledger's profile block reports.
-    pub fn publish(&self, batched: bool, stats: BatchStats) {
-        if batched {
-            self.sims_batched.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.sims_unbatched.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Fold one simulation's counters into the probe.
+    pub fn publish(&self, stats: BatchStats) {
         self.runs.fetch_add(stats.runs, Ordering::Relaxed);
         self.coalesced.fetch_add(stats.coalesced, Ordering::Relaxed);
         self.max_run.fetch_max(stats.max_run, Ordering::Relaxed);
@@ -303,16 +255,6 @@ impl BatchProbe {
         self.size_hits.fetch_add(stats.size_hits, Ordering::Relaxed);
         self.size_misses
             .fetch_add(stats.size_misses, Ordering::Relaxed);
-    }
-
-    /// Simulations that ran with macro-batching enabled.
-    pub fn sims_batched(&self) -> u64 {
-        self.sims_batched.load(Ordering::Relaxed)
-    }
-
-    /// Simulations that ran with macro-batching disabled.
-    pub fn sims_unbatched(&self) -> u64 {
-        self.sims_unbatched.load(Ordering::Relaxed)
     }
 
     /// Total coalesced admission runs.
@@ -429,7 +371,7 @@ mod tests {
     #[test]
     fn exp_memo_is_bit_exact_and_counts() {
         let f = |x: f64| (-x / 2e6).exp();
-        let mut m = ExpMemo::new(true);
+        let mut m = ExpMemo::new();
         let a = m.get(25_000.0, f);
         let b = m.get(25_000.0, f);
         assert_eq!(a.to_bits(), f(25_000.0).to_bits());
@@ -441,17 +383,8 @@ mod tests {
     }
 
     #[test]
-    fn exp_memo_disabled_recomputes_silently() {
-        let mut m = ExpMemo::new(false);
-        let f = |x: f64| x * 2.0;
-        assert_eq!(m.get(3.0, f), 6.0);
-        assert_eq!(m.get(3.0, f), 6.0);
-        assert_eq!((m.hits(), m.misses()), (0, 0));
-    }
-
-    #[test]
     fn size_memo_caches_and_caps() {
-        let mut m = SizeMemo::new(true);
+        let mut m = SizeMemo::new();
         assert_eq!(m.get(659, || 100), 100);
         assert_eq!(m.get(659, || panic!("must hit")), 100);
         assert_eq!((m.hits(), m.misses()), (1, 1));
@@ -484,23 +417,18 @@ mod tests {
     }
 
     #[test]
-    fn probe_sums_and_tracks_config() {
+    fn probe_sums_across_sims() {
         let p = BatchProbe::new();
-        p.publish(
-            true,
-            BatchStats {
-                runs: 10,
-                coalesced: 90,
-                max_run: 32,
-                alpha_hits: 80,
-                alpha_misses: 20,
-                size_hits: 99,
-                size_misses: 1,
-            },
-        );
-        p.publish(false, BatchStats::default());
-        assert_eq!(p.sims_batched(), 1);
-        assert_eq!(p.sims_unbatched(), 1);
+        p.publish(BatchStats {
+            runs: 10,
+            coalesced: 90,
+            max_run: 32,
+            alpha_hits: 80,
+            alpha_misses: 20,
+            size_hits: 99,
+            size_misses: 1,
+        });
+        p.publish(BatchStats::default());
         assert_eq!(p.runs(), 10);
         assert_eq!(p.coalesced(), 90);
         assert_eq!(p.max_run(), 32);

@@ -21,9 +21,8 @@
 //! `--jobs N` bounds the worker pool (default: all host cores). Whole
 //! experiments run concurrently, and each experiment's sweep cells are
 //! further spread over the remaining workers. Inside each cell the
-//! generator streams `--chunk N`-packet chunks (default 4096; `0`
-//! selects the materialized reference path) through bounded per-sniffer
-//! queues of `--depth N` chunks (default 4). Identical packet streams —
+//! generator streams `--chunk N`-packet chunks (default 4096) through
+//! bounded per-sniffer queues of `--depth N` chunks (default 4). Identical packet streams —
 //! the same (workload, rate, repeat) measured over different SUT sets of
 //! one sweep — are generated once and shared through a content-addressed
 //! cache that keeps a stream only until its last declared consumer has
@@ -104,16 +103,13 @@ fn parse_trace_arg(arg: &str) -> Option<(String, StageFilter)> {
     Some((arg.to_string(), StageFilter::all()))
 }
 
-/// Parse one of the integer execution knobs (`--jobs`, `--chunk`,
-/// `--depth`). All three share one error-message shape; they differ only
-/// in the smallest value they accept (`--chunk 0` selects the
-/// materialized path, the other two need at least 1).
-fn parse_knob(flag: &str, min: usize, arg: &str) -> Result<usize, String> {
-    let kind = if min == 0 { "non-negative" } else { "positive" };
+/// Parse one of the integer knobs (`--jobs`, `--chunk`, `--depth`,
+/// `--top`): each needs a positive integer.
+fn parse_knob(flag: &str, arg: &str) -> Result<usize, String> {
     arg.parse::<usize>()
         .ok()
-        .filter(|&n| n >= min)
-        .ok_or_else(|| format!("{flag} wants a {kind} integer, got '{arg}'"))
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} wants a positive integer, got '{arg}'"))
 }
 
 /// Report a bad argument and exit with the CLI-error status.
@@ -151,7 +147,7 @@ fn mib(bytes: u64) -> f64 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); results are identical at any N.\n--chunk N: packets per streamed chunk (default 4096; 0 = materialize the whole run first).\n--depth N: bounded splitter-queue depth in chunks per sniffer (default 4).\n--stream-cache: share identical packet streams across the cells of a sweep through a\n                content-addressed cache. A stream stays cached only until the last cell\n                declared to read it has it; BYTES caps what is cached at once, evicting\n                early (default on = 1 GiB cap; off regenerates per cell).\nAll four are execution knobs: tables and CSVs are byte-identical for any setting.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs/--chunk/--depth/--stream-cache; feed two ledgers to\n                `experiments obs diff` to rank what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs/--chunk/--depth/--stream-cache.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
+        "usage:\n  experiments list\n  experiments run <id>... [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments all [--scale quick|standard|full] [--jobs N] [--chunk N] [--depth N] [--stream-cache on|off|BYTES[K|M|G]] [--csv-dir DIR] [--trace PATH[:FILTER]] [--ledger PATH] [--profile] [--profile-json PATH] [--faults SPEC[:SEED]] [--oracle]\n  experiments obs diff <A.json> <B.json> [--fail-on-drift] [--top N]\n\nScales: quick (40k packets, 5 rates), standard (300k, 10), full (1M, 19 — the thesis' ladder).\n--jobs N: worker-pool size (default: all host cores); results are identical at any N.\n--chunk N: packets per streamed chunk (default 4096).\n--depth N: bounded splitter-queue depth in chunks per sniffer (default 4).\n--stream-cache: share identical packet streams across the cells of a sweep through a\n                content-addressed cache. A stream stays cached only until the last cell\n                declared to read it has it; BYTES caps what is cached at once, evicting\n                early (default on = 1 GiB cap; off regenerates per cell).\nAll four are execution knobs: tables and CSVs are byte-identical for any setting.\n--trace PATH[:FILTER]: write packet-lifecycle traces as Chrome trace-event JSON to PATH\n                (Perfetto-loadable) plus a CSV sibling, and print per-stage drop\n                attribution. FILTER picks stages: all, drops, wire, nic, bus, filter,\n                kernel, app, disk, sched (per-CPU scheduler dispatch timelines) or exact\n                stage names, comma-separated. 'off' disables.\n--ledger PATH: write the run ledger — a deterministic JSON manifest of every cell's\n                config fingerprint, achieved rate, drop attribution, metrics, exact\n                latency percentiles and per-CPU stage-time account. Byte-identical at\n                any --jobs/--chunk/--depth/--stream-cache; feed two ledgers to\n                `experiments obs diff` to rank what changed between runs.\n--profile: print host-side execution profiling (cell wall times, pool utilization,\n                cache service latencies) to stderr (and embed it in the ledger, the\n                one host-side block there).\n--profile-json PATH: write the host-side profile as standalone JSON.\n--faults SPEC[:SEED]: arm a deterministic fault plan. SPEC is fault names joined\n                with '+' (ringstall busburst irqjitter kshrink apppause preempt\n                hiccup squeeze), or 'chaos' for all, or 'off' (default). Same SPEC:SEED =>\n                byte-identical output at any --jobs/--chunk/--depth/--stream-cache.\n--oracle: validate every cell against the sim-wide invariant oracle (packet\n                conservation, buffer bounds, clock monotonicity, rate sanity);\n                any violation aborts the run.\nobs diff A B: load two ledgers, match cells by label, and rank every numeric\n                observable that moved (fingerprint changes reported first).\n                --fail-on-drift exits 1 on any difference; --top N caps the\n                drifts printed per cell (default 8)."
     );
     std::process::exit(2);
 }
@@ -171,7 +167,7 @@ fn obs_main(args: &[String]) {
             "--top" => {
                 i += 1;
                 let n = args.get(i).unwrap_or_else(|| usage());
-                top = parse_knob("--top", 1, n).unwrap_or_else(|msg| bail(msg));
+                top = parse_knob("--top", n).unwrap_or_else(|msg| bail(msg));
             }
             _ => usage(),
         }
@@ -266,13 +262,13 @@ fn main() {
                         i += 1;
                         let n = args.get(i).unwrap_or_else(|| usage());
                         pipeline.chunk_packets =
-                            parse_knob("--chunk", 0, n).unwrap_or_else(|msg| bail(msg));
+                            parse_knob("--chunk", n).unwrap_or_else(|msg| bail(msg));
                     }
                     "--depth" => {
                         i += 1;
                         let n = args.get(i).unwrap_or_else(|| usage());
                         pipeline.depth_chunks =
-                            parse_knob("--depth", 1, n).unwrap_or_else(|msg| bail(msg));
+                            parse_knob("--depth", n).unwrap_or_else(|msg| bail(msg));
                     }
                     "--stream-cache" => {
                         i += 1;
@@ -292,7 +288,7 @@ fn main() {
                     "--jobs" => {
                         i += 1;
                         let n = args.get(i).unwrap_or_else(|| usage());
-                        jobs = parse_knob("--jobs", 1, n).unwrap_or_else(|msg| bail(msg));
+                        jobs = parse_knob("--jobs", n).unwrap_or_else(|msg| bail(msg));
                     }
                     "--faults" => {
                         i += 1;
@@ -520,14 +516,8 @@ fn main() {
                         p.recycled()
                     );
                     let b = s.sim_batches();
-                    let mode = match (b.sims_batched(), b.sims_unbatched()) {
-                        (0, 0) => "unused".to_owned(),
-                        (_, 0) => format!("on(cap={})", pcs_oskernel::BATCH_COALESCE_CAP),
-                        (0, _) => "off".to_owned(),
-                        _ => format!("mixed(cap={})", pcs_oskernel::BATCH_COALESCE_CAP),
-                    };
                     eprintln!(
-                        "==   {id:<12} sim batching {mode}: {} runs, {} coalesced (max run {}), alpha memo {}/{} hits, size memo {}/{} hits",
+                        "==   {id:<12} sim batching: {} runs, {} coalesced (max run {}), alpha memo {}/{} hits, size memo {}/{} hits",
                         b.runs(),
                         b.coalesced(),
                         b.max_run(),
@@ -605,13 +595,6 @@ fn main() {
                             pool_misses: p.misses(),
                             pool_recycled: p.recycled(),
                             pool_high_water: p.high_water(),
-                            batch_sims_on: b.sims_batched(),
-                            batch_sims_off: b.sims_unbatched(),
-                            batch_coalesce_cap: if b.sims_batched() > 0 {
-                                pcs_oskernel::BATCH_COALESCE_CAP
-                            } else {
-                                0
-                            },
                             batch_runs: b.runs(),
                             batch_coalesced: b.coalesced(),
                             batch_max_run: b.max_run(),
@@ -740,19 +723,22 @@ mod tests {
     #[test]
     fn knob_errors_share_one_shape() {
         assert_eq!(
-            parse_knob("--chunk", 0, "x").unwrap_err(),
-            "--chunk wants a non-negative integer, got 'x'"
+            parse_knob("--chunk", "x").unwrap_err(),
+            "--chunk wants a positive integer, got 'x'"
         );
         assert_eq!(
-            parse_knob("--depth", 1, "0").unwrap_err(),
+            parse_knob("--chunk", "0").unwrap_err(),
+            "--chunk wants a positive integer, got '0'"
+        );
+        assert_eq!(
+            parse_knob("--depth", "0").unwrap_err(),
             "--depth wants a positive integer, got '0'"
         );
         assert_eq!(
-            parse_knob("--jobs", 1, "-3").unwrap_err(),
+            parse_knob("--jobs", "-3").unwrap_err(),
             "--jobs wants a positive integer, got '-3'"
         );
-        assert_eq!(parse_knob("--chunk", 0, "0"), Ok(0));
-        assert_eq!(parse_knob("--depth", 1, "4"), Ok(4));
+        assert_eq!(parse_knob("--depth", "4"), Ok(4));
     }
 
     mod properties {
@@ -776,9 +762,9 @@ mod tests {
             }
 
             #[test]
-            fn knob_arg_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64), min in 0usize..2) {
+            fn knob_arg_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
                 let arg = String::from_utf8_lossy(&bytes).into_owned();
-                let _ = parse_knob("--jobs", min, &arg);
+                let _ = parse_knob("--jobs", &arg);
             }
 
             #[test]
@@ -789,11 +775,8 @@ mod tests {
 
             // Valid inputs round-trip exactly.
             #[test]
-            fn knob_round_trips(n in 0usize..1_000_000) {
-                prop_assert_eq!(parse_knob("--chunk", 0, &n.to_string()), Ok(n));
-                if n >= 1 {
-                    prop_assert_eq!(parse_knob("--depth", 1, &n.to_string()), Ok(n));
-                }
+            fn knob_round_trips(n in 1usize..1_000_000) {
+                prop_assert_eq!(parse_knob("--chunk", &n.to_string()), Ok(n));
             }
 
             #[test]

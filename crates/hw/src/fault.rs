@@ -13,9 +13,9 @@
 //! arrival handler — including every hook consultation, at the same
 //! `now_ns`, in the same order — for each packet in the run, so a
 //! fault-window edge splits a batch at precisely the arrival that
-//! crosses it. Hook implementations need no batch awareness, and
-//! stateful hooks observe the identical call sequence under
-//! `PCS_NO_BATCH=1` (proved by the `batching_is_invisible` suite).
+//! crosses it. Hook implementations need no batch awareness: stateful
+//! hooks observe the call sequence of per-packet admission (pinned by
+//! the engine corpus in `pcs-oskernel/tests/corpus.rs`).
 
 /// Deterministic NIC/bus fault hooks, consulted on the simulation clock.
 ///

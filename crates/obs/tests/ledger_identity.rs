@@ -57,7 +57,6 @@ fn ledger_is_byte_identical_across_jobs_chunk_and_stream_cache() {
         (1, 1, 1 << 30),
         (4, 1, 1 << 30),
         (4, 4096, 0),
-        (2, 0, 1 << 30), // materialized reference path
     ] {
         let other = ledger_at(jobs, chunk, cache);
         assert_eq!(

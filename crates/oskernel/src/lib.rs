@@ -16,13 +16,12 @@
 //!   piping to a gzip process);
 //! * the disk write-back path and 64 kB FIFOs.
 //!
-//! Packet injection is zero-copy on the pipeline path: arrivals enter
-//! the event loop as shared references into generator chunks
-//! ([`MachineSim::run_refs`], fed by [`pcs_pktgen::SourceRefs`]), so the
-//! N machine simulations reading one broadcast stream share its bytes
-//! instead of cloning every packet. Owned injection
-//! ([`MachineSim::run`]) remains the reference path and produces
-//! bit-identical reports.
+//! Packet injection is zero-copy: arrivals enter the event loop as
+//! shared references into the chunks of a [`pcs_pktgen::PacketSource`]
+//! ([`MachineSim::run_source`]), so the N machine simulations reading
+//! one broadcast stream share its bytes instead of cloning every packet.
+//! [`MachineSim::run`] is sugar that collects a timed packet stream into
+//! one chunk first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,13 +20,13 @@
 //! byte-identical to the pre-refactor simulator.
 
 use crate::cpustate::{CpuAccounting, CpuState};
-use crate::event::{PacketView, SimEvent, Work};
+use crate::event::{SimEvent, Work};
 use crate::fault::MachineFaults;
 use crate::sim::MachineSim;
 use crate::stack::CapturedPacket;
 use pcs_des::{BufPool, EventQueue, PoolStats, RunQueue, SimDuration, SimTime, WorkClass};
+use pcs_pktgen::PacketRef;
 use pcs_trace::{StageTimes, TraceSink};
-use pcs_wire::SimPacket;
 
 /// Every Nth slot goes to user work when both queues are loaded.
 pub(crate) const KERNEL_SLOTS: u32 = 8;
@@ -68,91 +68,38 @@ pub(crate) struct SchedCtx<'a> {
 
 /// The scheduler's free lists: every buffer the per-packet path needs,
 /// recycled so the steady-state event loop performs zero heap
-/// allocations per packet (DESIGN.md §15).
-///
-/// Recycling never changes observable behavior — a recycled buffer is
-/// indistinguishable from a fresh one — so runs are byte-identical with
-/// the pool disabled (`PCS_NO_POOL=1` or
-/// [`crate::sim::MachineSim::with_pooling`]).
+/// allocations per packet (DESIGN.md §15). Recycling never changes
+/// observable behavior — a recycled buffer is indistinguishable from a
+/// fresh one.
 pub(crate) struct HotPool {
-    /// IRQ batch scratch: the views drained from the NIC ring.
-    pub(crate) views: BufPool<PacketView>,
+    /// IRQ batch scratch: the packet references drained from the NIC
+    /// ring.
+    pub(crate) views: BufPool<PacketRef>,
     /// App-chunk scratch plus the `recorded` buffers in
     /// [`crate::event::Completion::AppChunk`].
     pub(crate) captured: BufPool<CapturedPacket>,
     /// The `traced` (seq, gen_ns, caplen) buffers in `AppChunk`.
     pub(crate) traced: BufPool<(u64, u64, u32)>,
-    /// Dead owned-arrival boxes awaiting the next owned packet. The
-    /// boxing is the point: the pool recycles the heap allocation a
-    /// boxed packet rides in through the event queue.
-    #[allow(clippy::vec_box)]
-    boxes: Vec<Box<SimPacket>>,
     /// Dead work-item boxes awaiting the next submission. Work items
     /// travel boxed so the run queue and the CPU slots move a pointer,
     /// not the ~150-byte item; this list recycles those allocations.
     #[allow(clippy::vec_box)]
     works: Vec<Box<Work>>,
-    boxes_enabled: bool,
     box_gets: u64,
     box_misses: u64,
     box_recycled: u64,
 }
 
 impl HotPool {
-    fn new(enabled: bool) -> HotPool {
+    fn new() -> HotPool {
         HotPool {
-            views: BufPool::new(enabled),
-            captured: BufPool::new(enabled),
-            traced: BufPool::new(enabled),
-            boxes: Vec::new(),
+            views: BufPool::new(),
+            captured: BufPool::new(),
+            traced: BufPool::new(),
             works: Vec::new(),
-            boxes_enabled: enabled,
             box_gets: 0,
             box_misses: 0,
             box_recycled: 0,
-        }
-    }
-
-    /// Turn all recycling on or off (the `PCS_NO_POOL` escape hatch).
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.views.set_enabled(enabled);
-        self.captured.set_enabled(enabled);
-        self.traced.set_enabled(enabled);
-        self.boxes_enabled = enabled;
-        if !enabled {
-            self.boxes = Vec::new();
-            self.works = Vec::new();
-        }
-    }
-
-    /// Whether recycling is currently on.
-    pub(crate) fn enabled(&self) -> bool {
-        self.boxes_enabled
-    }
-
-    /// Box an owned packet, reusing a dead box when one is free.
-    pub(crate) fn box_packet(&mut self, p: SimPacket) -> Box<SimPacket> {
-        self.box_gets += 1;
-        match self.boxes.pop() {
-            Some(mut b) => {
-                *b = p;
-                b
-            }
-            None => {
-                self.box_misses += 1;
-                Box::new(p)
-            }
-        }
-    }
-
-    /// Retire a packet view: owned boxes go back on the free list,
-    /// shared references just drop their refcount.
-    pub(crate) fn recycle_view(&mut self, view: PacketView) {
-        if let PacketView::Owned(b) = view {
-            if self.boxes_enabled {
-                self.box_recycled += 1;
-                self.boxes.push(b);
-            }
         }
     }
 
@@ -173,13 +120,11 @@ impl HotPool {
 
     /// Retire a finished work item's box onto the free list.
     pub(crate) fn recycle_work(&mut self, b: Box<Work>) {
-        if self.boxes_enabled {
-            self.box_recycled += 1;
-            self.works.push(b);
-        }
+        self.box_recycled += 1;
+        self.works.push(b);
     }
 
-    /// Summed counters over every free list (buffers and boxes).
+    /// Summed counters over every free list (buffers and work boxes).
     pub(crate) fn stats(&self) -> PoolStats {
         let mut s = self.views.stats();
         s.absorb(self.captured.stats());
@@ -225,31 +170,26 @@ thread_local! {
 impl Scheduler {
     /// A scheduler for `ncpu` logical CPUs with the spec's SMT shape
     /// (captured at construction; the spec is immutable over a run).
-    /// The event heap is pre-sized to `queue_hint` (the sim's in-flight
-    /// event bound) — or taken from the thread's spare when pooling is
-    /// on, so repeated runs share one heap allocation.
+    /// The event heap is the thread's spare, so repeated runs share one
+    /// heap allocation, or else a new heap pre-sized to `queue_hint`
+    /// (the sim's in-flight event bound).
     pub(crate) fn new(
         ncpu: usize,
         hyperthreading: bool,
         smt_factor: f64,
-        pooling: bool,
         queue_hint: usize,
     ) -> Scheduler {
-        let queue = if pooling {
-            SPARE_QUEUE
-                .with(|s| s.borrow_mut().take())
-                .map(|mut q| {
-                    q.reset();
-                    q
-                })
-                .unwrap_or_else(|| EventQueue::with_capacity(queue_hint))
-        } else {
-            EventQueue::with_capacity(queue_hint)
-        };
+        let queue = SPARE_QUEUE
+            .with(|s| s.borrow_mut().take())
+            .map(|mut q| {
+                q.reset();
+                q
+            })
+            .unwrap_or_else(|| EventQueue::with_capacity(queue_hint));
         Scheduler {
             queue,
             cpus: (0..ncpu).map(|_| CpuSim::new()).collect(),
-            pool: HotPool::new(pooling),
+            pool: HotPool::new(),
             stage: None,
             hyperthreading,
             smt_factor,
@@ -257,14 +197,10 @@ impl Scheduler {
     }
 
     /// Retire the (drained) event heap into the thread-local spare so
-    /// the next simulation on this thread reuses its allocation. Gated
-    /// on pooling, like every other free list, so the `PCS_NO_POOL`
-    /// differential test covers it.
+    /// the next simulation on this thread reuses its allocation.
     pub(crate) fn release_queue(&mut self) {
-        if self.pool.enabled() {
-            let q = std::mem::take(&mut self.queue);
-            SPARE_QUEUE.with(|s| *s.borrow_mut() = Some(q));
-        }
+        let q = std::mem::take(&mut self.queue);
+        SPARE_QUEUE.with(|s| *s.borrow_mut() = Some(q));
     }
 
     /// Arm (or disarm) per-stage time attribution; arming allocates the

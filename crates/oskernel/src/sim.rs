@@ -24,11 +24,11 @@
 //! pool).
 //!
 //! This module holds only the façade: construction, the run entry
-//! points ([`MachineSim::run`], [`MachineSim::run_refs`],
-//! [`MachineSim::run_source`]), and state shared across stages.
+//! point [`MachineSim::run_source`] (with [`MachineSim::run`] as sugar
+//! over it), and state shared across stages.
 
 use crate::config::{AppConfig, SimConfig};
-use crate::event::{ArrivalFeed, PacketView, SimEvent};
+use crate::event::SimEvent;
 use crate::fault::MachineFaults;
 use crate::report::{CpuSample, RunReport};
 use crate::sched::Scheduler;
@@ -36,7 +36,7 @@ use crate::stack::{BpfDevice, CapturedPacket, LsfSocket, LsfState};
 use crate::stages;
 use pcs_des::{AdmissionCursor, BatchProbe, BatchStats, ExpMemo, PoolProbe, SimTime, SizeMemo};
 use pcs_hw::{MachineSpec, OsCosts};
-use pcs_pktgen::{PacketRef, PacketSource, SourceRefs};
+use pcs_pktgen::{Chunk, PacketRef, PacketSource, SourceRefs, TimedPacket};
 use pcs_trace::TraceSink;
 use pcs_wire::SimPacket;
 use std::collections::VecDeque;
@@ -52,8 +52,8 @@ pub const BATCH_COALESCE_CAP: u64 = 64;
 
 /// Bit-exact memo tables for the per-packet path's pure cost
 /// arithmetic. Every entry caches `f(input-bits)` keyed by the exact
-/// input bits, so a hit returns precisely what recomputation would —
-/// runs with the memos disabled are byte-identical.
+/// input bits, so a hit returns precisely what recomputation would.
+#[derive(Default)]
 pub(crate) struct CostMemo {
     /// `exp(-dt/2e6)` — the arrival-rate EMA smoothing factor.
     pub(crate) alpha_arrival: ExpMemo,
@@ -67,22 +67,6 @@ pub(crate) struct CostMemo {
 }
 
 impl CostMemo {
-    fn new(enabled: bool) -> CostMemo {
-        CostMemo {
-            alpha_arrival: ExpMemo::new(enabled),
-            alpha_kernel: ExpMemo::new(enabled),
-            alpha_writeback: ExpMemo::new(enabled),
-            consumer: SizeMemo::new(enabled),
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.alpha_arrival.set_enabled(enabled);
-        self.alpha_kernel.set_enabled(enabled);
-        self.alpha_writeback.set_enabled(enabled);
-        self.consumer.set_enabled(enabled);
-    }
-
     /// (hits, misses) summed over the three EMA memos.
     pub(crate) fn alpha_counts(&self) -> (u64, u64) {
         (
@@ -123,7 +107,8 @@ pub(crate) enum Stack {
     Lsf(LsfState),
 }
 
-/// The machine simulator. Feed it a timed packet stream via
+/// The machine simulator. Feed it a chunked packet source via
+/// [`MachineSim::run_source`], or a timed packet stream via
 /// [`MachineSim::run`].
 ///
 /// ```
@@ -150,7 +135,7 @@ pub struct MachineSim {
     pub(crate) stack: Stack,
 
     // NIC
-    pub(crate) ring: VecDeque<PacketView>,
+    pub(crate) ring: VecDeque<PacketRef>,
     pub(crate) ring_slots: usize,
     pub(crate) nic_ring_drops: u64,
     pub(crate) irq_pending: bool,
@@ -203,15 +188,9 @@ pub struct MachineSim {
     /// queues one wakeup instead of one per arrival.
     pub(crate) fault_irq_gate: SimTime,
 
-    /// Macro-batching master switch (coalesced admission + cost memos).
-    /// On by default; `PCS_NO_BATCH=1` or
-    /// [`MachineSim::with_batching`]`(false)` falls back to scheduling
-    /// every arrival through the heap, byte-identically.
-    pub(crate) batching: bool,
     /// Lazy-admission cursor: the next wire arrival, held outside the
-    /// event heap under its reserved (time, seq) key. Always empty when
-    /// batching is off.
-    pub(crate) pending_arrival: AdmissionCursor<PacketView>,
+    /// event heap under its reserved (time, seq) key.
+    pub(crate) pending_arrival: AdmissionCursor<PacketRef>,
     /// Coalesced-run counters, published to the probe at run end.
     pub(crate) batch_stats: BatchStats,
     /// Bit-exact memo tables for pure cost arithmetic.
@@ -219,8 +198,8 @@ pub struct MachineSim {
 
     /// Observability tap for the hot-path buffer pools. Stats are
     /// published here when the run finishes; they never enter the
-    /// [`RunReport`] (pool usage depends on the injection path, and the
-    /// report must stay byte-identical across all of them).
+    /// [`RunReport`] (pool usage describes execution, not simulated
+    /// behavior).
     pub(crate) pool_probe: Option<Arc<PoolProbe>>,
     /// Observability tap for the batching counters, alongside the pool
     /// probe and under the same rule: published at run end, never part
@@ -280,21 +259,6 @@ impl MachineSim {
             Stack::Lsf(LsfState::new(sockets, cfg.buffers.rmem_bytes))
         };
 
-        // Escape hatch: PCS_NO_POOL=1 disables buffer recycling so a
-        // pooled run can be differentially tested against plain
-        // allocation (they must be byte-identical).
-        let pooling = !matches!(
-            std::env::var("PCS_NO_POOL").ok().as_deref(),
-            Some(v) if !v.is_empty() && v != "0"
-        );
-        // Escape hatch: PCS_NO_BATCH=1 disables macro-batched admission
-        // (lazy arrivals, coalesced runs, cost memos) so a batched run
-        // can be differentially tested against the heap-per-arrival
-        // engine (they must be byte-identical).
-        let batching = !matches!(
-            std::env::var("PCS_NO_BATCH").ok().as_deref(),
-            Some(v) if !v.is_empty() && v != "0"
-        );
         // In-flight event bound: one CpuFree per CPU, one resume per
         // app, the sample clock, at most one arrival/IRQ gate/write-back
         // each, and slack for fault-injected gates. Pre-sizing to it
@@ -307,7 +271,6 @@ impl MachineSim {
                 ncpu,
                 spec.cpu.hyperthreading,
                 spec.cpu.smt_factor(),
-                pooling,
                 queue_hint,
             ),
             spec,
@@ -342,10 +305,9 @@ impl MachineSim {
             trace: TraceSink::Off,
             faults: None,
             fault_irq_gate: SimTime::ZERO,
-            batching,
             pending_arrival: AdmissionCursor::new(),
             batch_stats: BatchStats::default(),
-            memo: CostMemo::new(batching),
+            memo: CostMemo::default(),
             pool_probe: None,
             batch_probe: None,
         }
@@ -376,15 +338,6 @@ impl MachineSim {
         self
     }
 
-    /// Enable or disable hot-path buffer pooling (on by default, or off
-    /// when `PCS_NO_POOL` is set in the environment). A pooled run is
-    /// byte-identical to an unpooled one: only the allocator traffic
-    /// differs. Exists for differential testing and benchmarking.
-    pub fn with_pooling(mut self, enabled: bool) -> MachineSim {
-        self.sched.pool.set_enabled(enabled);
-        self
-    }
-
     /// Attach a probe that receives the pooled-buffer statistics
     /// (gets / misses / recycles / high-water) when the run finishes.
     /// The probe is observability only — nothing it records feeds back
@@ -394,61 +347,50 @@ impl MachineSim {
         self
     }
 
-    /// Enable or disable macro-batched event admission (on by default,
-    /// or off when `PCS_NO_BATCH` is set in the environment): lazy
-    /// arrival scheduling through the admission cursor, coalesced
-    /// NIC-admission runs, and the bit-exact cost memos. A batched run
-    /// is byte-identical to an unbatched one — only the engine's heap
-    /// traffic and arithmetic reuse differ. Exists for differential
-    /// testing and benchmarking.
-    pub fn with_batching(mut self, enabled: bool) -> MachineSim {
-        self.batching = enabled;
-        self.memo.set_enabled(enabled);
-        self
-    }
-
     /// Attach a probe that receives the macro-batching statistics
-    /// (coalesced runs, memo hits/misses, the on/off config bit) when
-    /// the run finishes. Observability only, like the pool probe.
+    /// (coalesced runs, memo hits/misses) when the run finishes.
+    /// Observability only, like the pool probe.
     pub fn with_batch_probe(mut self, probe: Arc<BatchProbe>) -> MachineSim {
         self.batch_probe = Some(probe);
         self
     }
 
-    /// Run the simulation over a timed packet source, to completion
+    /// Run the simulation over a timed packet stream, to completion
     /// (including the post-generation drain), and report.
     ///
-    /// Packets arrive owned and are boxed into recycled pool boxes as
-    /// they enter the event queue. The pipeline's hot path avoids even
-    /// the copy: see [`MachineSim::run_refs`].
+    /// Sugar over [`MachineSim::run_source`]: the stream is collected
+    /// into one [`Chunk`] first, so this suits tests and ad-hoc streams;
+    /// long runs should stream chunks through `run_source` instead.
     pub fn run<I>(self, source: I) -> RunReport
     where
         I: IntoIterator<Item = (SimTime, SimPacket)>,
     {
-        self.run_injected(source.into_iter().map(|(t, p)| ArrivalFeed::Owned(t, p)))
+        let chunk: Chunk = source
+            .into_iter()
+            .map(|(time, packet)| TimedPacket { time, packet })
+            .collect();
+        self.run_source((!chunk.is_empty()).then_some(chunk))
     }
 
-    /// Run the simulation over shared packet references — the clone-free
-    /// injection path. Each arrival holds its chunk alive by refcount;
-    /// packet bytes are read in place and never copied into the sim.
+    /// Run the simulation over a chunked [`PacketSource`], to completion
+    /// (including the post-generation drain), and report.
     ///
-    /// Event-for-event identical to [`MachineSim::run`] over the cloned
-    /// stream: only the ownership representation differs.
-    pub fn run_refs<I>(self, source: I) -> RunReport
+    /// Packets are pulled out of the source chunk by chunk and injected
+    /// as shared [`PacketRef`]s: the sim reads each packet in place
+    /// inside its chunk and never copies it. A source backed by a
+    /// bounded queue blocks the pull, which is exactly how pipeline
+    /// backpressure propagates from a slow sniffer to the generator.
+    /// Because the event loop only requests the next arrival after the
+    /// current one has been admitted, the resulting event sequence —
+    /// and therefore the whole [`RunReport`] — is the same for any
+    /// chunking of the same packet stream.
+    pub fn run_source<S>(mut self, source: S) -> RunReport
     where
-        I: IntoIterator<Item = PacketRef>,
+        S: PacketSource,
     {
-        self.run_injected(source.into_iter().map(ArrivalFeed::Shared))
-    }
-
-    /// The event loop proper, over any packet representation: pop each
-    /// event off the scheduler's queue and route it to its stage.
-    fn run_injected<I>(mut self, mut src: I) -> RunReport
-    where
-        I: Iterator<Item = ArrivalFeed>,
-    {
+        let mut src = SourceRefs::new(source);
         match src.next() {
-            Some(feed) => self.schedule_arrival(feed),
+            Some(r) => self.schedule_arrival(r),
             None => self.source_done = true,
         }
         self.sched
@@ -459,15 +401,14 @@ impl MachineSim {
             // Cursor admission: the pending arrival bypasses the heap
             // when its reserved (time, seq) key precedes every queued
             // event — exact, because keys embed unique sequence numbers
-            // allocated in scheduling order. With batching off the
-            // cursor is always empty and this is a plain heap pop.
+            // allocated in scheduling order.
             let (now, ev) = if self.pending_arrival.precedes(self.sched.queue.peek_key()) {
-                let (t, view) = self
+                let (t, r) = self
                     .pending_arrival
                     .take()
                     .expect("cursor checked non-empty");
                 self.sched.queue.advance_to(t);
-                (t, SimEvent::Arrival(view))
+                (t, SimEvent::Arrival(r))
             } else {
                 match self.sched.queue.pop() {
                     Some(x) => x,
@@ -486,26 +427,6 @@ impl MachineSim {
         }
 
         self.finish_report()
-    }
-
-    /// Run the simulation over a chunked [`PacketSource`] — the
-    /// streaming-splitter path of the testbed.
-    ///
-    /// Packets are pulled out of the source chunk by chunk and injected
-    /// as shared references ([`MachineSim::run_refs`]) — the sim reads
-    /// each packet in place inside its broadcast chunk and never copies
-    /// it. A source backed by a bounded queue blocks the pull, which is
-    /// exactly how pipeline backpressure propagates from a slow sniffer
-    /// to the generator. Because the event loop only requests the next
-    /// arrival after the current one has been injected, the resulting
-    /// event sequence — and therefore the whole [`RunReport`] — is
-    /// byte-identical to [`MachineSim::run`] over the flattened packet
-    /// stream, regardless of chunk size.
-    pub fn run_source<S>(self, source: S) -> RunReport
-    where
-        S: PacketSource,
-    {
-        self.run_refs(SourceRefs::new(source))
     }
 
     // ----- shared rate estimators and memory-cost helpers -----
@@ -655,26 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn run_refs_matches_owned_run_exactly() {
-        use pcs_pktgen::{MaterializedSource, SourceRefs, TimedPacket};
-        use std::sync::Arc;
-
-        let timed: Arc<Vec<TimedPacket>> = Arc::new(
-            packets(300, 7)
-                .into_iter()
-                .map(|(time, packet)| TimedPacket { time, packet })
-                .collect(),
-        );
-        let spec = pcs_hw::MachineSpec::swan();
-        let owned = MachineSim::new(spec, SimConfig::default())
-            .run(timed.iter().map(|tp| (tp.time, tp.packet.clone())));
-        let shared = MachineSim::new(spec, SimConfig::default()).run_refs(SourceRefs::new(
-            MaterializedSource::new(Arc::clone(&timed), 64),
-        ));
-        assert_eq!(format!("{owned:?}"), format!("{shared:?}"));
-    }
-
-    #[test]
     fn traced_run_records_lifecycle_and_balances() {
         use pcs_trace::TraceSpec;
         let spec = pcs_hw::MachineSpec::moorhen();
@@ -801,37 +702,6 @@ mod tests {
         assert!(app_busy > 0);
         // Hyperthreaded and overloaded: SMT stretch must appear.
         assert!(st.cpus.iter().map(|c| c.stretch_total()).sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn pooled_and_unpooled_runs_agree_on_stage_times_and_digests() {
-        // Pooling only changes allocator traffic; the observability
-        // surface — stage-time accounts, metrics, latency digests —
-        // must be byte-identical either way.
-        use pcs_trace::{StageFilter, TraceSpec};
-        let run = |pooling: bool| {
-            MachineSim::new(pcs_hw::MachineSpec::swan(), SimConfig::default())
-                .with_pooling(pooling)
-                .with_stage_times(true)
-                .with_trace(TraceSink::bounded(TraceSpec {
-                    filter: StageFilter::none(),
-                    ..TraceSpec::default()
-                }))
-                .run(packets(5_000, 2))
-        };
-        let a = run(true);
-        let b = run(false);
-        assert_eq!(
-            format!("{:?}", a.stage_times),
-            format!("{:?}", b.stage_times)
-        );
-        let ma = &a.trace.as_ref().expect("traced").metrics;
-        let mb = &b.trace.as_ref().expect("traced").metrics;
-        assert_eq!(format!("{ma:?}"), format!("{mb:?}"));
-        let digest = ma
-            .digest("wire_to_app_latency_ns")
-            .expect("latency digest recorded");
-        assert!(digest.count() > 0);
     }
 
     #[test]

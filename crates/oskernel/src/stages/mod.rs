@@ -25,9 +25,10 @@ pub(crate) mod irq;
 pub(crate) mod nic;
 pub(crate) mod sample;
 
-use crate::event::{ArrivalFeed, SimEvent};
+use crate::event::SimEvent;
 use crate::sim::MachineSim;
 use pcs_des::SimTime;
+use pcs_pktgen::PacketRef;
 
 /// Maximum packets picked up by one interrupt batch.
 pub(crate) const MAX_IRQ_BATCH: usize = 64;
@@ -41,10 +42,9 @@ pub(crate) const DIRTY_LIMIT: u64 = 32 << 20;
 /// Disk write-back granule.
 pub(crate) const WRITEBACK_CHUNK: u64 = 1 << 20;
 
-/// The timed packet source a stage may pull the next arrival from.
-/// Items are [`ArrivalFeed`]s: owned packets travel unboxed so the NIC
-/// stage can box them from the recycling pool.
-pub(crate) type ArrivalSource<'a> = &'a mut dyn Iterator<Item = ArrivalFeed>;
+/// The timed packet source a stage may pull the next arrival from: shared
+/// references into the source's chunks.
+pub(crate) type ArrivalSource<'a> = &'a mut dyn Iterator<Item = PacketRef>;
 
 /// One lifecycle stage: the handler for one event kind.
 ///

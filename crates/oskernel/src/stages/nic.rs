@@ -2,9 +2,10 @@
 //! arrival-rate estimator.
 
 use super::ArrivalSource;
-use crate::event::{ArrivalFeed, PacketView, SimEvent};
+use crate::event::SimEvent;
 use crate::sim::MachineSim;
 use pcs_des::{SimDuration, SimTime};
+use pcs_pktgen::PacketRef;
 use pcs_trace::{Stage, APP_NONE};
 
 /// The NIC stage: handles [`SimEvent::Arrival`].
@@ -22,11 +23,8 @@ impl super::Stage for Nic {
 }
 
 impl MachineSim {
-    fn on_arrival(&mut self, now: SimTime, pkt: PacketView, src: ArrivalSource) {
+    fn on_arrival(&mut self, now: SimTime, pkt: PacketRef, src: ArrivalSource) {
         self.admit_arrival(now, pkt, src);
-        if !self.batching {
-            return;
-        }
         // Macro-event coalescing: while the next arrival precedes every
         // queued event, admit it here instead of bouncing through the
         // main loop. This is exact, not approximate — the loop repeats
@@ -35,7 +33,7 @@ impl MachineSim {
         // handler including the fault hooks, trace emissions, ring
         // bounds and IRQ gate), so any intervening event — a CpuFree, a
         // fault-window IRQ gate, the sample clock — splits the run
-        // exactly where the unbatched engine would have interleaved it.
+        // exactly where per-packet admission would have interleaved it.
         // The main loop's stop_at check cannot be bypassed either:
         // stop_at is set only on source exhaustion, which leaves the
         // cursor empty and ends the run here.
@@ -43,12 +41,12 @@ impl MachineSim {
         while run_len < crate::sim::BATCH_COALESCE_CAP
             && self.pending_arrival.precedes(self.sched.queue.peek_key())
         {
-            let (t, view) = self
+            let (t, r) = self
                 .pending_arrival
                 .take()
                 .expect("cursor checked non-empty");
             self.sched.queue.advance_to(t);
-            self.admit_arrival(t, view, src);
+            self.admit_arrival(t, r, src);
             run_len += 1;
         }
         self.batch_stats.note_run(run_len);
@@ -57,7 +55,7 @@ impl MachineSim {
     /// The per-arrival admission body: PCI credit, ring entry, the next
     /// source pull, and the IRQ gate. One call per packet, identical
     /// whether entered from the main loop or a coalesced run.
-    fn admit_arrival(&mut self, now: SimTime, pkt: PacketView, src: ArrivalSource) {
+    fn admit_arrival(&mut self, now: SimTime, pkt: PacketRef, src: ArrivalSource) {
         self.offered += 1;
         let (seq, frame_len) = {
             let p = pkt.packet();
@@ -80,7 +78,6 @@ impl MachineSim {
         self.pci_credit += self.spec.pci.service_fraction(demand);
         if self.pci_credit < 1.0 {
             self.nic_ring_drops += 1;
-            self.sched.pool.recycle_view(pkt);
             self.trace.emit(
                 now.as_nanos(),
                 Stage::NicDropBus,
@@ -106,7 +103,6 @@ impl MachineSim {
                 }
             } else {
                 self.nic_ring_drops += 1;
-                self.sched.pool.recycle_view(pkt);
                 self.trace.emit(
                     now.as_nanos(),
                     Stage::NicDropRing,
@@ -118,7 +114,7 @@ impl MachineSim {
             }
         }
         match src.next() {
-            Some(feed) => self.schedule_arrival(feed),
+            Some(next) => self.schedule_arrival(next),
             None => {
                 self.source_done = true;
                 self.load_end = Some(self.sample(now));
@@ -128,25 +124,14 @@ impl MachineSim {
         self.try_fire_irq(now);
     }
 
-    /// Turn one pulled [`ArrivalFeed`] into the next arrival. Owned
-    /// packets land in a recycled box from the scheduler's pool either
-    /// way — boxing happens here, at the same program point in both
-    /// branches, so pool traffic is identical batched and unbatched.
-    /// Batched, the arrival waits in the admission cursor under a
-    /// reserved heap sequence number (tie-breaking identical to the
-    /// heap); unbatched, it is scheduled through the heap as always.
-    pub(crate) fn schedule_arrival(&mut self, feed: ArrivalFeed) {
-        let (t, view) = match feed {
-            ArrivalFeed::Owned(t, p) => (t, PacketView::Owned(self.sched.pool.box_packet(p))),
-            ArrivalFeed::Shared(r) => (r.time(), PacketView::Shared(r)),
-        };
-        if self.batching {
-            let seq = self.sched.queue.reserve_seq();
-            let key = pcs_des::EventQueue::<SimEvent>::admission_key(t, seq);
-            self.pending_arrival.stash(key, view);
-        } else {
-            self.sched.queue.schedule(t, SimEvent::Arrival(view));
-        }
+    /// Make one pulled packet the next arrival: it waits in the
+    /// admission cursor under a heap sequence number reserved here, at
+    /// the program point where scheduling it would have drawn one, so
+    /// same-instant tie-breaking is exactly the heap's.
+    pub(crate) fn schedule_arrival(&mut self, r: PacketRef) {
+        let seq = self.sched.queue.reserve_seq();
+        let key = pcs_des::EventQueue::<SimEvent>::admission_key(r.time(), seq);
+        self.pending_arrival.stash(key, r);
     }
 
     pub(crate) fn note_arrival(&mut self, now: SimTime, frame_len: u32) {

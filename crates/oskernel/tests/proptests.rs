@@ -2,9 +2,8 @@
 //! determinism must hold for *any* workload and configuration.
 
 use pcs_hw::MachineSpec;
-use pcs_oskernel::{AppConfig, BufferConfig, MachineFaults, MachineSim, RunReport, SimConfig};
+use pcs_oskernel::{AppConfig, BufferConfig, MachineSim, SimConfig};
 use pcs_pktgen::{Generator, PktgenConfig, SizeSource, TxModel};
-use pcs_trace::{CellTrace, SutTrace, TraceSink, TraceSpec};
 use proptest::prelude::*;
 
 fn source(
@@ -116,202 +115,4 @@ proptest! {
         let fast = run(860.0);
         prop_assert!(slow + 1e-9 >= fast, "slow {slow} vs fast {fast}");
     }
-}
-
-/// A ring-stall hook (RX ring pinned to one slot) for the pooling
-/// differential test: faults exercise the preempt-split and
-/// ring-overflow paths that touch pooled buffers.
-struct Stall;
-impl pcs_hw::NicBusFault for Stall {
-    fn ring_slots(&mut self, _now_ns: u64, _base: usize) -> usize {
-        1
-    }
-}
-impl pcs_hw::SchedFault for Stall {}
-impl MachineFaults for Stall {}
-
-/// A constant-preemption hook (2 µs per dispatch), splitting work items
-/// mid-segment — the path that must carry the cached duration and the
-/// spilled segment vector correctly through the pool.
-struct Preempt;
-impl pcs_hw::NicBusFault for Preempt {}
-impl pcs_hw::SchedFault for Preempt {
-    fn preempt_extra_ns(&mut self, _now_ns: u64, _cpu: usize) -> u64 {
-        2_000
-    }
-}
-impl MachineFaults for Preempt {}
-
-/// A kernel-buffer-shrink window (capacity cut to 1/4 between 1 ms and
-/// 3 ms of sim time) for the batching differential test: the
-/// buffer_permille hook is consulted on every delivery, so a coalesced
-/// NIC run must observe the window edge at exactly the same arrival as
-/// the per-packet engine.
-struct Kshrink;
-impl pcs_hw::NicBusFault for Kshrink {}
-impl pcs_hw::SchedFault for Kshrink {}
-impl MachineFaults for Kshrink {
-    fn buffer_permille(&mut self, now_ns: u64) -> u32 {
-        if (1_000_000..3_000_000).contains(&now_ns) {
-            250
-        } else {
-            1000
-        }
-    }
-}
-
-/// Render a traced report's exports exactly as the sweep exporter
-/// would: pooled and unpooled runs must agree on every exported byte,
-/// not just on the report struct.
-fn rendered_exports(r: &RunReport) -> (String, String) {
-    let cell = CellTrace {
-        label: format!("prop {}", r.machine),
-        key: 1,
-        achieved_mbps: 0.0,
-        suts: vec![SutTrace {
-            label: r.machine.clone(),
-            report: r.trace.as_deref().expect("traced run").clone(),
-            attributions: r.attributions(),
-            stage_times: r.stage_times.clone(),
-        }],
-    };
-    let cells = std::slice::from_ref(&cell);
-    (
-        pcs_trace::export::chrome_trace_json(cells),
-        pcs_trace::export::events_csv(cells),
-    )
-}
-
-proptest! {
-    // Two full runs per case; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Pooling is invisible: a pooled run and a pool-disabled run (the
-    /// `PCS_NO_POOL=1` escape hatch) produce byte-identical reports —
-    /// and, when traced, byte-identical trace exports — across
-    /// machines, rates, app counts and fault plans. Only allocator
-    /// traffic may differ.
-    #[test]
-    fn pooling_is_invisible(
-        spec in arb_machine(),
-        count in 500u64..2_500,
-        rate in 100f64..900.0,
-        burst in 1u32..64,
-        napps in 1usize..3,
-        traced in any::<bool>(),
-        fault in 0u8..3,
-        seed in any::<u64>(),
-    ) {
-        let cfg = SimConfig {
-            apps: vec![AppConfig::plain(); napps],
-            ..SimConfig::default()
-        };
-        let run = |pooled: bool| {
-            let mut sim = MachineSim::new(spec, cfg.clone()).with_pooling(pooled);
-            if traced {
-                sim = sim.with_trace(TraceSink::bounded(TraceSpec::default()));
-            }
-            let hooks: Option<Box<dyn MachineFaults>> = match fault {
-                1 => Some(Box::new(Stall)),
-                2 => Some(Box::new(Preempt)),
-                _ => None,
-            };
-            sim.with_faults(hooks).run(source(count, rate, burst, seed))
-        };
-        let pooled = run(true);
-        let unpooled = run(false);
-        prop_assert_eq!(format!("{pooled:?}"), format!("{unpooled:?}"));
-        if traced {
-            let (json_a, csv_a) = rendered_exports(&pooled);
-            let (json_b, csv_b) = rendered_exports(&unpooled);
-            prop_assert_eq!(json_a, json_b);
-            prop_assert_eq!(csv_a, csv_b);
-        }
-    }
-
-    /// Batching is invisible: the macro-batched engine (lazy arrival
-    /// admission + NIC-run coalescing + cost-model memos) and the
-    /// legacy per-packet engine (the `PCS_NO_BATCH=1` escape hatch)
-    /// produce byte-identical reports — and, when traced, byte-identical
-    /// trace exports and run-ledger documents — across machines, rates,
-    /// app counts, trace filters (including `sched`, whose dispatch
-    /// order pins the exact event interleaving) and fault plans
-    /// (kshrink / preempt / ringstall, whose hooks must fire at exactly
-    /// the same arrival inside a coalesced run).
-    #[test]
-    fn batching_is_invisible(
-        spec in arb_machine(),
-        count in 500u64..2_500,
-        rate in 100f64..900.0,
-        burst in 1u32..64,
-        napps in 1usize..3,
-        filter in 0u8..4,
-        fault in 0u8..4,
-        seed in any::<u64>(),
-    ) {
-        let cfg = SimConfig {
-            apps: vec![AppConfig::plain(); napps],
-            ..SimConfig::default()
-        };
-        let run = |batched: bool| {
-            let mut sim = MachineSim::new(spec, cfg.clone())
-                .with_batching(batched)
-                .with_stage_times(true);
-            let spec = match filter {
-                1 => Some(TraceSpec::default()),
-                2 => Some(TraceSpec { filter: pcs_trace::StageFilter::drops(), ..TraceSpec::default() }),
-                3 => {
-                    let mut f = pcs_trace::StageFilter::sched();
-                    for s in pcs_trace::Stage::ALL {
-                        f.insert(s);
-                    }
-                    Some(TraceSpec { filter: f, ..TraceSpec::default() })
-                }
-                _ => None,
-            };
-            if let Some(spec) = spec {
-                sim = sim.with_trace(TraceSink::bounded(spec));
-            }
-            let hooks: Option<Box<dyn MachineFaults>> = match fault {
-                1 => Some(Box::new(Stall)),
-                2 => Some(Box::new(Preempt)),
-                3 => Some(Box::new(Kshrink)),
-                _ => None,
-            };
-            sim.with_faults(hooks).run(source(count, rate, burst, seed))
-        };
-        let batched = run(true);
-        let legacy = run(false);
-        prop_assert_eq!(format!("{batched:?}"), format!("{legacy:?}"));
-        if filter != 0 {
-            let (json_a, csv_a) = rendered_exports(&batched);
-            let (json_b, csv_b) = rendered_exports(&legacy);
-            prop_assert_eq!(json_a, json_b);
-            prop_assert_eq!(csv_a, csv_b);
-            prop_assert_eq!(rendered_ledger(&batched), rendered_ledger(&legacy));
-        }
-    }
-}
-
-/// Render a traced report as the full `--ledger` document, exactly as
-/// the experiments CLI would: the batched and per-packet engines must
-/// agree on every ledger byte, not just on the report struct.
-fn rendered_ledger(r: &RunReport) -> String {
-    let cell = CellTrace {
-        label: format!("prop {}", r.machine),
-        key: 1,
-        achieved_mbps: 0.0,
-        suts: vec![SutTrace {
-            label: r.machine.clone(),
-            report: r.trace.as_deref().expect("traced run").clone(),
-            attributions: r.attributions(),
-            stage_times: r.stage_times.clone(),
-        }],
-    };
-    let meta = pcs_obs::LedgerMeta {
-        scale: "prop".to_owned(),
-        experiments: vec!["batching_is_invisible".to_owned()],
-        faults: None,
-    };
-    pcs_obs::render_ledger(&meta, std::slice::from_ref(&cell), None)
 }

@@ -35,6 +35,13 @@ pub trait PacketSource {
     fn next_chunk(&mut self) -> Option<Chunk>;
 }
 
+/// A single chunk, yielded once: the whole stream already in memory.
+impl PacketSource for Option<Chunk> {
+    fn next_chunk(&mut self) -> Option<Chunk> {
+        self.take()
+    }
+}
+
 /// A shared reference to one packet inside a [`Chunk`]: the zero-copy
 /// currency of the pipeline's hot path.
 ///

@@ -72,8 +72,8 @@ impl Fingerprintable for Sut {
 /// per repeat; `cfg.repeats` deliberately does not — the number of
 /// repeats changes which cells exist, not what any one cell computes.
 /// Pipeline shape (chunk size, queue depth) and worker count never
-/// participate: the streamed and materialized paths compute identical
-/// results, so a cell cached by one answers for all.
+/// participate: every shape computes identical results, so a cell
+/// cached under one answers for all.
 pub fn cell_key(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> CellKey {
     cell_key_faulted(suts, cfg, rate, repeat, None)
 }

@@ -12,17 +12,14 @@
 //! one generated stream (the splitter's job) and runs the four machine
 //! simulations concurrently on host threads.
 //!
-//! By default a cell *streams*: the generator thread produces bounded
-//! chunks, forwards them through the monitoring switch, and broadcasts
-//! each chunk over the splitter's bounded queues while the per-SUT
-//! machine simulations consume concurrently ([`PipelineConfig`]). The
-//! pre-pipeline materialized path (generate the whole run into a `Vec`,
-//! then fan out) remains available as the reference
-//! (`PipelineConfig::materialized()`, CLI `--chunk 0`); both paths
-//! produce byte-identical results — the streaming pipeline only bounds
-//! memory and overlaps generation with consumption.
+//! A cell *streams*: the generator thread produces bounded chunks,
+//! forwards them through the monitoring switch, and broadcasts each
+//! chunk over the splitter's bounded queues while the per-SUT machine
+//! simulations consume concurrently ([`PipelineConfig`]). Chunk size and
+//! queue depth only bound memory and pace the overlap of generation
+//! with consumption; results are byte-identical at any setting.
 //!
-//! Streaming cells additionally share generation through the
+//! Cells additionally share generation through the
 //! process-global, content-addressed
 //! [`StreamCache`](pcs_pktgen::StreamCache): cells that differ only in
 //! their SUT set address the same (workload, rate, repeat) stream, so
@@ -37,7 +34,7 @@ use crate::sched::{parallel_ordered, ExecConfig};
 use crate::splitter::OpticalSplitter;
 use crate::switch::MonitorSwitch;
 use pcs_des::stats::median;
-use pcs_des::{BatchProbe, PoolProbe, SimTime};
+use pcs_des::SimTime;
 use pcs_faultsim::{FaultPlan, Oracle};
 use pcs_hw::MachineSpec;
 use pcs_oskernel::{MachineSim, RunReport, SimConfig};
@@ -45,7 +42,7 @@ use pcs_pktgen::{
     Chunk, ChunkedGenerator, Generator, PacketSource, PktgenConfig, PublishingSource, SizeSource,
     StreamCache, StreamDemand, StreamKey, StreamRole, TimedPacket, TxModel,
 };
-use pcs_trace::{SutTrace, TraceSink, TraceSpec};
+use pcs_trace::{SutTrace, TraceSink};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::Scope;
@@ -145,12 +142,11 @@ pub struct PointResult {
     pub suts: Vec<SutPoint>,
 }
 
-/// Running totals on the generator side of a cell, accumulated as
-/// packets flow (no peeking at a materialized stream).
+/// Running totals on the generator side of a cell, accumulated chunk by
+/// chunk as packets flow.
 ///
 /// The achieved rate is the frame bytes over the time of the last
-/// transmitted packet — exactly the number the materialized path used to
-/// read off `packets.last()`, but computable chunk by chunk.
+/// transmitted packet.
 struct RateAccount {
     bytes: u64,
     last: Option<SimTime>,
@@ -196,29 +192,6 @@ fn build_generator(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> Generat
     g
 }
 
-/// Generate one run's packet stream and verify it against the switch
-/// counters. Returns the stream and the achieved rate. (The materialized
-/// reference path; the streaming path never builds this `Vec`.)
-fn generate_run(cfg: &CycleConfig, rate: Option<f64>, repeat: u32) -> (Arc<Vec<TimedPacket>>, f64) {
-    let g = build_generator(cfg, rate, repeat);
-    let mut switch = MonitorSwitch::thesis_setup();
-    let before = switch.snmp_read(8);
-    let mut packets = Vec::with_capacity(cfg.count as usize);
-    let mut account = RateAccount::new();
-    for tp in g {
-        switch.forward(&tp.packet);
-        account.note(&tp);
-        packets.push(tp);
-    }
-    let after = switch.snmp_read(8);
-    let delta = MonitorSwitch::delta(&before, &after);
-    assert_eq!(
-        delta.out_pkts, cfg.count,
-        "switch must confirm every generated packet went out"
-    );
-    (Arc::new(packets), account.achieved_mbps())
-}
-
 /// Distill the per-SUT reports plus the achieved rate into a cell result.
 fn distill(achieved_mbps: f64, reports: &[RunReport]) -> CellResult {
     CellResult {
@@ -261,7 +234,7 @@ pub fn cell_label(rate: Option<f64>, repeat: u32) -> String {
 /// and the cell's per-SUT event logs, metrics and drop attributions are
 /// recorded in the collector (first write wins; duplicates are
 /// identical by determinism). Tracing never changes the distilled
-/// numbers. A streaming cell obtains its stream through `streams`.
+/// numbers. The cell obtains its stream through `streams`.
 fn run_cell(
     suts: &[Sut],
     cfg: &CycleConfig,
@@ -270,24 +243,7 @@ fn run_cell(
     exec: &ExecConfig,
     streams: &SweepStreams,
 ) -> CellResult {
-    let spec = exec.trace.as_ref().map(|collector| collector.spec());
-    let (achieved, mut reports) = if exec.pipeline.is_streaming() && !suts.is_empty() {
-        run_cell_streaming(suts, cfg, rate, repeat, exec, streams, spec)
-    } else {
-        let (stream, achieved) = generate_run(cfg, rate, repeat);
-        (
-            achieved,
-            run_sniffers_with(
-                suts,
-                &stream,
-                spec,
-                exec.faults.as_deref(),
-                Some(exec.stats.sim_pools()),
-                Some(exec.stats.sim_batches()),
-                exec.stage_times,
-            ),
-        )
-    };
+    let (achieved, mut reports) = run_cell_streaming(suts, cfg, rate, repeat, exec, streams);
     // The invariant oracle: always armed in debug/test builds, opt-in
     // (`--oracle`) in release. A violation is a simulation bug, never a
     // measurement outcome, so it panics with the cell coordinate.
@@ -431,7 +387,7 @@ fn stream_budget(exec: &ExecConfig) -> u64 {
 /// Whether a cell over `suts` acquires its stream from the stream cache
 /// (empty SUT sets simulate nothing and read no stream).
 fn reads_cached_stream(suts: &[Sut], exec: &ExecConfig) -> bool {
-    exec.pipeline.is_streaming() && !suts.is_empty() && stream_budget(exec) > 0
+    !suts.is_empty() && stream_budget(exec) > 0
 }
 
 /// The cell's chunk source: the generator, optionally teed through or
@@ -446,6 +402,7 @@ fn reads_cached_stream(suts: &[Sut], exec: &ExecConfig) -> bool {
 /// splitter broadcast as generated ones, so results are byte-identical
 /// either way.
 fn cell_source(
+    suts: &[Sut],
     cfg: &CycleConfig,
     rate: Option<f64>,
     repeat: u32,
@@ -454,12 +411,12 @@ fn cell_source(
 ) -> Box<dyn PacketSource> {
     let pipeline = exec.pipeline;
     let stats = &exec.stats;
-    let budget = stream_budget(exec);
     let generate =
         || ChunkedGenerator::new(build_generator(cfg, rate, repeat), pipeline.chunk_packets);
-    if budget == 0 {
+    if !reads_cached_stream(suts, exec) {
         return Box::new(generate());
     }
+    let budget = stream_budget(exec);
     let probe = stats.profiling().then(Instant::now);
     match streams.acquire(stream_key(cfg, rate, repeat), budget) {
         StreamRole::Produce(publisher) => {
@@ -495,11 +452,14 @@ fn run_cell_streaming(
     repeat: u32,
     exec: &ExecConfig,
     streams: &SweepStreams,
-    trace: Option<TraceSpec>,
 ) -> (f64, Vec<RunReport>) {
     let pipeline = exec.pipeline;
-    let mut source = cell_source(cfg, rate, repeat, exec, streams);
-    let splitter = OpticalSplitter::new(suts.len() as u32);
+    let trace = exec.trace.as_ref().map(|collector| collector.spec());
+    let mut source = cell_source(suts, cfg, rate, repeat, exec, streams);
+    // An empty SUT set still sends its stream through the switch; the
+    // splitter's one output then has no reader, and dropping it turns
+    // every broadcast into a no-op.
+    let splitter = OpticalSplitter::new(suts.len().max(1) as u32);
     let (sender, outputs) = splitter.channel(pipeline.depth_chunks);
 
     let mut switch = MonitorSwitch::thesis_setup();
@@ -661,57 +621,6 @@ pub fn run_point(suts: &[Sut], cfg: &CycleConfig, rate: Option<f64>) -> PointRes
     run_sweep(suts, cfg, &[rate])
         .pop()
         .expect("one rate, one point")
-}
-
-/// Run all sniffers over one shared stream, concurrently. Scoped worker
-/// threads borrow the slice directly, so callers need no `Arc` plumbing.
-pub fn run_sniffers(suts: &[Sut], stream: &[TimedPacket]) -> Vec<RunReport> {
-    run_sniffers_with(suts, stream, None, None, None, None, false)
-}
-
-/// [`run_sniffers`], optionally with an enabled trace sink, an armed
-/// fault plan, pool/batch probes and/or stage-time attribution per SUT.
-#[allow(clippy::too_many_arguments)]
-fn run_sniffers_with(
-    suts: &[Sut],
-    stream: &[TimedPacket],
-    trace: Option<TraceSpec>,
-    faults: Option<&FaultPlan>,
-    pools: Option<&Arc<PoolProbe>>,
-    batches: Option<&Arc<BatchProbe>>,
-    stage_times: bool,
-) -> Vec<RunReport> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = suts
-            .iter()
-            .map(|sut| {
-                let spec = sut.spec;
-                let sim = sut.sim.clone();
-                let sink = trace.map(TraceSink::bounded).unwrap_or_default();
-                let armed = faults.map(FaultPlan::arm_machine);
-                let pools = pools.map(Arc::clone);
-                let batches = batches.map(Arc::clone);
-                scope.spawn(move || {
-                    let mut machine = MachineSim::new(spec, sim)
-                        .with_trace(sink)
-                        .with_faults(armed)
-                        .with_stage_times(stage_times);
-                    if let Some(probe) = pools {
-                        machine = machine.with_pool_probe(probe);
-                    }
-                    if let Some(probe) = batches {
-                        machine = machine.with_batch_probe(probe);
-                    }
-                    let source = stream.iter().map(|tp| (tp.time, tp.packet.clone()));
-                    machine.run(source)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sniffer thread panicked"))
-            .collect()
-    })
 }
 
 /// Sweep a list of rates (the thesis' 50–950 Mbit/s x-axis); `None`
@@ -910,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_cell_matches_materialized_cell_exactly() {
+    fn cells_are_identical_at_any_chunk_size_and_depth() {
         // run_cell bypasses the global run cache, and stream sharing is
         // off, so every configuration below genuinely regenerates — the
         // comparison cannot be satisfied by any cache hit.
@@ -925,11 +834,11 @@ mod tests {
             },
         ];
         let cfg = quick_cfg();
-        let exec = ExecConfig::serial();
+        let exec =
+            ExecConfig::serial().with_pipeline(PipelineConfig::default().with_stream_cache(0));
         for rate in [Some(250.0), None] {
-            let materialized = exec.clone().with_pipeline(PipelineConfig::materialized());
-            let reference = run_cell(&suts, &cfg, rate, 0, &materialized, &undeclared());
-            for chunk_packets in [1usize, 1009, 4096] {
+            let reference = run_cell(&suts, &cfg, rate, 0, &exec, &undeclared());
+            for chunk_packets in [1usize, 1009] {
                 for depth_chunks in [1usize, 4] {
                     let pipeline = PipelineConfig {
                         chunk_packets,
@@ -1096,9 +1005,6 @@ mod tests {
     #[test]
     fn empty_run_reports_zero_rate() {
         let cfg = CycleConfig::fixed(0, 512, 1);
-        let (stream, achieved) = generate_run(&cfg, Some(100.0), 0);
-        assert!(stream.is_empty());
-        assert_eq!(achieved, 0.0);
         let exec = ExecConfig::serial();
         let streamed = run_cell(
             &[Sut {
@@ -1116,8 +1022,28 @@ mod tests {
     }
 
     #[test]
+    fn empty_sut_set_still_sends_the_stream() {
+        // No sniffer listens, but the switch must still confirm every
+        // packet and the achieved rate must be measured.
+        let cfg = CycleConfig::fixed(2_000, 512, 1);
+        let exec = ExecConfig::serial();
+        let cell = run_cell(&[], &cfg, Some(100.0), 0, &exec, &undeclared());
+        assert!(cell.suts.is_empty());
+        assert!(
+            (cell.achieved_mbps - 100.0).abs() < 10.0,
+            "{}",
+            cell.achieved_mbps
+        );
+        assert_eq!(
+            exec.stats.streams_generated() + exec.stats.streams_shared(),
+            0,
+            "an empty SUT set reads no cached stream"
+        );
+    }
+
+    #[test]
     fn traced_cells_record_balanced_attributions_without_changing_results() {
-        use pcs_trace::TraceCollector;
+        use pcs_trace::{TraceCollector, TraceSpec};
         // Unique packet count: run and stream caches are process-global.
         let mut cfg = CycleConfig::mwn(8_317, 99);
         cfg.repeats = 1;

@@ -15,8 +15,7 @@
 //! chunks that the [`splitter`] broadcasts to every sniffer's queue
 //! while the machine simulations consume concurrently. The pipeline
 //! shape ([`PipelineConfig`]) is an execution knob — results are
-//! byte-identical at any chunk size, queue depth or job count, and
-//! identical to the materialized reference path (`--chunk 0`).
+//! byte-identical at any chunk size, queue depth or job count.
 //!
 //! Across cells, generation itself is shared: streams are
 //! content-addressed ([`stream_key`]) in the process-global
@@ -38,8 +37,8 @@ pub mod switch;
 
 pub use cache::{cell_key, stream_key, wide_key, CellKey, CellResult, CellSut, RunCache};
 pub use cycle::{
-    aggregate_point, cell_label, run_point, run_sniffers, run_sweep, run_sweep_exec,
-    run_sweep_sets, standard_suts, CycleConfig, PointResult, Sut, SutPoint,
+    aggregate_point, cell_label, run_point, run_sweep, run_sweep_exec, run_sweep_sets,
+    standard_suts, CycleConfig, PointResult, Sut, SutPoint,
 };
 pub use sched::{
     available_parallelism, parallel_ordered, parse_stream_cache_bytes, ExecConfig, ExecStats,

@@ -186,13 +186,12 @@ impl ExecStats {
 
 /// How a cell streams packets from the generator to its sniffers.
 ///
-/// These are *execution* knobs: the pipeline is byte-identical to the
-/// materialized reference path for any setting, so none of these fields
-/// participate in the run cache's cell key.
+/// These are *execution* knobs: results are byte-identical for any
+/// setting, so none of these fields participate in the run cache's cell
+/// key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Packets per streamed chunk; `0` selects the materialized
-    /// reference path (generate the whole run, then fan out).
+    /// Packets per streamed chunk (clamped to ≥ 1).
     pub chunk_packets: usize,
     /// Bounded depth, in chunks, of each sniffer's splitter queue
     /// (clamped to ≥ 1). Peak pipeline memory is roughly
@@ -201,7 +200,7 @@ pub struct PipelineConfig {
     /// Byte cap on the process-global content-addressed stream cache
     /// (`0` = off: every cell regenerates its own stream). Declared
     /// demand decides how long a stream is kept; the cap only evicts
-    /// early. Only the streaming path consults the cache.
+    /// early.
     pub stream_cache_bytes: u64,
 }
 
@@ -216,17 +215,7 @@ impl PipelineConfig {
         }
     }
 
-    /// The pre-pipeline reference: materialize the whole run, then fan
-    /// out (no stream sharing).
-    pub fn materialized() -> PipelineConfig {
-        PipelineConfig {
-            chunk_packets: 0,
-            depth_chunks: 1,
-            stream_cache_bytes: 0,
-        }
-    }
-
-    /// Streaming with an explicit chunk size (`0` = materialized).
+    /// Streaming with an explicit chunk size.
     pub fn with_chunk(chunk_packets: usize) -> PipelineConfig {
         PipelineConfig {
             chunk_packets,
@@ -239,11 +228,6 @@ impl PipelineConfig {
     pub fn with_stream_cache(mut self, stream_cache_bytes: u64) -> PipelineConfig {
         self.stream_cache_bytes = stream_cache_bytes;
         self
-    }
-
-    /// Whether this configuration streams chunks (vs materializing).
-    pub fn is_streaming(&self) -> bool {
-        self.chunk_packets > 0
     }
 }
 
@@ -469,9 +453,6 @@ mod tests {
 
     #[test]
     fn pipeline_presets_and_builder() {
-        assert!(PipelineConfig::streaming().is_streaming());
-        assert!(!PipelineConfig::materialized().is_streaming());
-        assert!(!PipelineConfig::with_chunk(0).is_streaming());
         assert_eq!(PipelineConfig::with_chunk(512).chunk_packets, 512);
         let exec = ExecConfig::with_jobs(2).with_pipeline(PipelineConfig::with_chunk(512));
         assert_eq!(exec.pipeline.chunk_packets, 512);
@@ -480,10 +461,13 @@ mod tests {
             PipelineConfig::streaming().stream_cache_bytes,
             pcs_pktgen::DEFAULT_STREAM_CACHE_BYTES
         );
-        assert_eq!(PipelineConfig::materialized().stream_cache_bytes, 0);
         let off = PipelineConfig::streaming().with_stream_cache(0);
         assert_eq!(off.stream_cache_bytes, 0);
-        assert!(off.is_streaming(), "cache knob is independent of chunking");
+        assert_eq!(
+            off.chunk_packets,
+            pcs_pktgen::DEFAULT_CHUNK_PACKETS,
+            "cache knob is independent of chunking"
+        );
     }
 
     #[test]

@@ -267,175 +267,12 @@ fn csv_field(s: &str, out: &mut String) {
     }
 }
 
-/// Minimal JSON well-formedness checker (the build has no serde_json).
-///
-/// Accepts exactly the RFC 8259 grammar; used by tests and smoke checks to
-/// prove emitted traces parse before they ever reach Perfetto.
+/// JSON well-formedness check (the build has no serde_json): the
+/// [`crate::json`] reader with the parsed value discarded. Used by tests
+/// and the CLI to prove emitted traces and ledgers parse before they
+/// ever reach Perfetto or `obs diff`.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#x} at {pos:?}")),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {}", *pos));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {}", *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // opening quote
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match b.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(format!("bad \\u escape at byte {}", *pos)),
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-            }
-            c if c < 0x20 => return Err(format!("raw control char at byte {}", *pos)),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_start = *pos;
-    while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-        *pos += 1;
-    }
-    if *pos == int_start {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b[int_start] == b'0' && *pos > int_start + 1 {
-        return Err(format!("leading zero at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while matches!(b.get(*pos), Some(c) if c.is_ascii_digit()) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
+    crate::json::Json::parse(s).map(|_| ())
 }
 
 #[cfg(test)]
@@ -567,22 +404,5 @@ mod tests {
         );
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.contains("app_deliver"));
-    }
-
-    #[test]
-    fn json_validator_accepts_and_rejects() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e3",
-            "[1,2,3]",
-            "{\"a\":{\"b\":[true,false,null,\"x\\n\\u0041\"]}}",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-        for bad in ["{", "[1,]", "{\"a\":}", "01", "\"\\q\"", "[] []", "{'a':1}"] {
-            assert!(validate_json(bad).is_err(), "accepted bad JSON: {bad}");
-        }
     }
 }

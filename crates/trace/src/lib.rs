@@ -16,7 +16,8 @@
 //!   sizes), plus exact per-stage [`DropAttribution`] reproducing the
 //!   paper's loss-localization tables.
 //! * **Export** ([`export`]) — Chrome trace-event JSON (Perfetto-loadable)
-//!   and CSV, with a deterministic cross-cell [`TraceCollector`].
+//!   and CSV, with a deterministic cross-cell [`TraceCollector`], and
+//!   the minimal RFC 8259 reader ([`json`]) that reads it back.
 //!
 //! The disabled path is one enum-discriminant branch per event site
 //! ([`TraceSink::Off`]); `--trace off` runs are byte-identical to an
@@ -29,6 +30,7 @@ pub mod attr;
 pub mod collect;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod stagetime;
@@ -36,6 +38,7 @@ pub mod stagetime;
 pub use attr::DropAttribution;
 pub use collect::{CellTrace, SutTrace, TraceCollector};
 pub use event::{SchedEvent, Stage, StageFilter, TraceEvent, WorkKind, APP_NONE, SEQ_NONE};
+pub use json::Json;
 pub use metrics::MetricsRegistry;
 pub use sink::{TraceReport, TraceSink, TraceSpec, DEFAULT_EVENT_CAP};
 pub use stagetime::{CpuStageTimes, StageTimes, WORK_KINDS};

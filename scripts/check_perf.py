@@ -29,11 +29,8 @@ a clear message rather than failing the build.
 Regenerate the baseline with ``cargo bench -p pcs-bench --bench hotpath``
 and record the new numbers in BENCH_HOTPATH.json after an intentional
 hot-path change. Record every ``hotpath/*`` variant together (pool-on,
-pool-off, pool-on-shared-ref, stage-times-on, batch-on, batch-off): the
-variants are context for each other, ``stage-times-on`` documents what a
-``--ledger`` run pays over ``pool-on``, and ``batch-on``/``batch-off``
-document what macro-batched event admission buys over the per-packet
-engine (``PCS_NO_BATCH=1``).
+stage-times-on): ``stage-times-on`` documents what a ``--ledger`` run
+pays over ``pool-on``.
 
 To localize a failure, pass ``--ledgers BASELINE.json CURRENT.json``
 (two run ledgers from ``pcs-experiments run --ledger``, e.g. the quick

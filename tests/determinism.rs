@@ -91,13 +91,13 @@ fn matrix_scale() -> Scale {
     }
 }
 
-/// The materialized single-worker reference rendering, computed once.
+/// The serial default-pipeline reference rendering, computed once.
 /// Callers must hold [`CACHE_CLEAR_LOCK`].
 fn matrix_reference() -> &'static (String, String) {
     static REFERENCE: OnceLock<(String, String)> = OnceLock::new();
     REFERENCE.get_or_init(|| {
         RunCache::global().clear();
-        let exec = ExecConfig::with_jobs(1).with_pipeline(PipelineConfig::materialized());
+        let exec = ExecConfig::with_jobs(1);
         let reference = figures::fig6_2_default_buffers(&matrix_scale(), true, &exec);
         assert!(
             exec.stats.cells_run() >= 1,
@@ -109,13 +109,13 @@ fn matrix_reference() -> &'static (String, String) {
 
 proptest! {
     // Every sampled (jobs, chunk, depth, stream-cache) execution shape
-    // must render byte-identically to the materialized single-worker
+    // must render byte-identically to the serial default-pipeline
     // reference. Each case is a whole sweep, so the case count is pinned
     // low here on purpose — CI's elevated PROPTEST_CASES sweep targets
     // the cheap parser/attribution properties, not this matrix.
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn streaming_pipeline_is_byte_identical_to_materialized(
+    fn pipeline_shape_is_byte_identical_to_serial_default(
         jobs in 1usize..=4,
         chunk in prop_oneof![Just(1usize), 2usize..=8_192],
         depth in 1usize..=8,

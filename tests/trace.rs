@@ -55,11 +55,9 @@ fn trace_exports_are_byte_identical_at_any_jobs_and_pipeline() {
     let ref_csv = export::events_csv(&ref_cells);
     export::validate_json(&ref_json).expect("trace JSON must be RFC 8259 valid");
 
-    let variants: [(usize, PipelineConfig); 3] = [
+    let variants: [(usize, PipelineConfig); 2] = [
         // parallel, default streaming
         (4, PipelineConfig::streaming()),
-        // materialized reference path
-        (1, PipelineConfig::materialized()),
         // odd chunking, stream sharing off, parallel
         (4, PipelineConfig::with_chunk(1009).with_stream_cache(0)),
     ];
