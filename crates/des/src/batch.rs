@@ -98,11 +98,6 @@ pub struct ExpMemo {
 }
 
 impl ExpMemo {
-    /// An empty memo.
-    pub fn new() -> ExpMemo {
-        ExpMemo::default()
-    }
-
     /// `compute(x)`, served from the memo when `x` has the same bit
     /// pattern as the previous call.
     #[inline]
@@ -149,11 +144,6 @@ pub struct SizeMemo {
 }
 
 impl SizeMemo {
-    /// An empty memo.
-    pub fn new() -> SizeMemo {
-        SizeMemo::default()
-    }
-
     /// `compute()`, served from the memo when `key` was seen before.
     /// `compute` must be a pure function of `key` for the run.
     #[inline]
@@ -371,7 +361,7 @@ mod tests {
     #[test]
     fn exp_memo_is_bit_exact_and_counts() {
         let f = |x: f64| (-x / 2e6).exp();
-        let mut m = ExpMemo::new();
+        let mut m = ExpMemo::default();
         let a = m.get(25_000.0, f);
         let b = m.get(25_000.0, f);
         assert_eq!(a.to_bits(), f(25_000.0).to_bits());
@@ -384,7 +374,7 @@ mod tests {
 
     #[test]
     fn size_memo_caches_and_caps() {
-        let mut m = SizeMemo::new();
+        let mut m = SizeMemo::default();
         assert_eq!(m.get(659, || 100), 100);
         assert_eq!(m.get(659, || panic!("must hit")), 100);
         assert_eq!((m.hits(), m.misses()), (1, 1));

@@ -74,7 +74,7 @@ pub(crate) struct SchedCtx<'a> {
 pub(crate) struct HotPool {
     /// IRQ batch scratch: the packet references drained from the NIC
     /// ring.
-    pub(crate) views: BufPool<PacketRef>,
+    pub(crate) refs: BufPool<PacketRef>,
     /// App-chunk scratch plus the `recorded` buffers in
     /// [`crate::event::Completion::AppChunk`].
     pub(crate) captured: BufPool<CapturedPacket>,
@@ -93,7 +93,7 @@ pub(crate) struct HotPool {
 impl HotPool {
     fn new() -> HotPool {
         HotPool {
-            views: BufPool::new(),
+            refs: BufPool::new(),
             captured: BufPool::new(),
             traced: BufPool::new(),
             works: Vec::new(),
@@ -126,7 +126,7 @@ impl HotPool {
 
     /// Summed counters over every free list (buffers and work boxes).
     pub(crate) fn stats(&self) -> PoolStats {
-        let mut s = self.views.stats();
+        let mut s = self.refs.stats();
         s.absorb(self.captured.stats());
         s.absorb(self.traced.stats());
         s.absorb(PoolStats {

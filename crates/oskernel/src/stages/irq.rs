@@ -82,7 +82,7 @@ impl MachineSim {
         // Pooled batch scratch: the same buffer circulates between
         // interrupts, so draining the ring allocates nothing in steady
         // state.
-        let mut batch = self.sched.pool.views.get();
+        let mut batch = self.sched.pool.refs.get();
         batch.reserve(n);
         for _ in 0..n {
             batch.push(self.ring.pop_front().expect("len checked"));
@@ -112,7 +112,7 @@ impl MachineSim {
             }
         }
         let work = self.kernel_batch_work(now, &batch);
-        self.sched.pool.views.put(batch);
+        self.sched.pool.refs.put(batch);
         self.submit(now, 0, work, true);
     }
 

@@ -164,8 +164,8 @@ impl PacketSource for ChunkedGenerator {
     }
 }
 
-/// A materialized packet list replayed as a chunk stream (the reference
-/// path, and the adapter for pcap replays or test vectors).
+/// A materialized packet list replayed as a chunk stream (the adapter
+/// for pcap replays or test vectors).
 pub struct MaterializedSource {
     packets: Arc<Vec<TimedPacket>>,
     pos: usize,
