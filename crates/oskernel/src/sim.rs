@@ -260,8 +260,9 @@ impl MachineSim {
         };
 
         // In-flight event bound: one CpuFree per CPU, one resume per
-        // app, the sample clock, at most one arrival/IRQ gate/write-back
-        // each, and slack for fault-injected gates. Pre-sizing to it
+        // app, the sample clock, at most one IRQ gate/write-back each
+        // (arrivals wait in the admission cursor, never in the heap),
+        // and slack for fault-injected gates. Pre-sizing to it
         // keeps the heap off the allocator for the whole run.
         let queue_hint = ncpu + napps + 8;
 
